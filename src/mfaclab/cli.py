@@ -69,8 +69,10 @@ STABILITY_SCHEMA = "mfaclab.stability.v1"
 OUT_ENV = "MFACLAB_OUT"
 DEFAULT_OUT = "mfaclab-runs"
 
-# 20-point default grid; stops short of 1.0 where one test loop sits exactly
-# on its stability boundary and verdicts would hinge on root rounding.
+# 20-point default grid, 0.0 to 0.95.  It does not avoid the stability
+# boundary: mimo2 sits on it at lambda = 0.5 (largest root magnitude
+# 1 - 3e-16), so that verdict hinges on root rounding and reads unstable
+# while the simulated loop stays finite.
 LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(20))
 
 EXAMPLE1_BOX = ((-0.3, -0.5), (0.1, 0.5))

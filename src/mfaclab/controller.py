@@ -12,7 +12,7 @@ information set at step k: y_history[0] = y(k), u_history[0] = u(k-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +20,12 @@ from .edlm import (
     DifferentiableModel,
     PseudoJacobian,
     RegressorWindow,
+    _curvature_corrected,
+    _first_order_blocks,
+    _operating_args,
+    _padded_blocks,
+    _slot_hessians,
     pjm_first_order,
-    pjm_second_order,
 )
 from .errors import InfeasibleBoxError, RankDeficiencyError, ShapeError
 
@@ -126,13 +130,40 @@ def _condition_number(m: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
+class _Step(NamedTuple):
+    """A control law's result before the diagnostics only the public laws report."""
+
+    delta_u: np.ndarray
+    u: np.ndarray
+    cost: float
+    iterations: int
+    converged: bool
+    output_blocks: Sequence[np.ndarray]
+    input_blocks: Sequence[np.ndarray]
+
+
+def _decision(step: _Step, pjm: PseudoJacobian | None = None) -> ControlDecision:
+    if pjm is None:
+        pjm = PseudoJacobian(output_blocks=tuple(step.output_blocks), input_blocks=tuple(step.input_blocks))
+    return ControlDecision(
+        delta_u=step.delta_u,
+        u=step.u,
+        cost=step.cost,
+        iterations=step.iterations,
+        condition_number=_condition_number(pjm.lead_input_block),
+        converged=step.converged,
+        pjm=pjm,
+    )
+
+
 def _check_controller_args(
-    pjm: PseudoJacobian, window: RegressorWindow, y_now: np.ndarray, y_ref: np.ndarray, w: Weighting
+    layout: tuple[int, int, int, int], window: RegressorWindow, y_now: np.ndarray, y_ref: np.ndarray, w: Weighting
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one law call; layout is the (My, Mu, Ly, Lu) of the pseudo-Jacobian used."""
     dims = window.dims
-    if (pjm.My, pjm.Mu, pjm.Ly, pjm.Lu) != (dims.My, dims.Mu, dims.Ly, dims.Lu):
+    if layout != (dims.My, dims.Mu, dims.Ly, dims.Lu):
         raise ShapeError(
-            f"pseudo-Jacobian layout ({pjm.My},{pjm.Mu},{pjm.Ly},{pjm.Lu}) does not match "
+            f"pseudo-Jacobian layout {layout} does not match "
             f"window dimensions ({dims.My},{dims.Mu},{dims.Ly},{dims.Lu})"
         )
     y_now = np.atleast_1d(np.asarray(y_now, dtype=float))
@@ -148,22 +179,66 @@ def _check_controller_args(
     return y_now, y_ref
 
 
-def _history_residual(pjm: PseudoJacobian, window: RegressorWindow, y_now: np.ndarray, y_ref: np.ndarray) -> np.ndarray:
-    """Tracking error minus the already-committed increment terms."""
-    dims = window.dims
+def _history_residual(
+    output_blocks: Sequence[np.ndarray],
+    input_blocks: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    us: Sequence[np.ndarray],
+    y_now: np.ndarray,
+    y_ref: np.ndarray,
+) -> np.ndarray:
+    """Tracking error minus the already-committed increment terms (ys, us newest first)."""
     r = y_ref - y_now
-    for i in range(1, dims.Ly + 1):
-        dy = window.y_history[i - 1] - window.y_history[i]
-        r = r - pjm.output_blocks[i - 1] @ dy
-    for j in range(2, dims.Lu + 1):
-        du = window.u_history[j - 2] - window.u_history[j - 1]
-        r = r - pjm.input_blocks[j - 1] @ du
+    for i, block in enumerate(output_blocks):
+        r = r - block @ (ys[i] - ys[i + 1])
+    for j in range(1, len(input_blocks)):
+        r = r - input_blocks[j] @ (us[j - 1] - us[j])
     return r
 
 
-def _cost(phi_u: np.ndarray, w: Weighting, residual: np.ndarray, delta_u: np.ndarray) -> float:
+def _cost(phi_u: np.ndarray, entries: np.ndarray, residual: np.ndarray, delta_u: np.ndarray) -> float:
     miss = residual - phi_u @ delta_u
-    return float(miss @ miss + delta_u @ (w.entries * delta_u))
+    return float(miss @ miss + delta_u @ (entries * delta_u))
+
+
+def _solve_step(
+    output_blocks: Sequence[np.ndarray],
+    input_blocks: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    us: Sequence[np.ndarray],
+    y_now: np.ndarray,
+    y_ref: np.ndarray,
+    entries: np.ndarray,
+    penalty: np.ndarray,
+) -> _Step:
+    """Core of mfac_step on validated operands; penalty is diag(entries)."""
+    phi_u = input_blocks[0]
+    residual = _history_residual(output_blocks, input_blocks, ys, us, y_now, y_ref)
+    A = phi_u.T @ phi_u + penalty
+    b = phi_u.T @ residual
+    try:
+        np.linalg.cholesky(A)
+        delta_u = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if np.all(entries == 0.0):
+            rank = int(np.linalg.matrix_rank(phi_u))
+            if rank < phi_u.shape[0]:
+                raise RankDeficiencyError(
+                    f"lead block rank {rank} cannot reach all {phi_u.shape[0]} outputs with zero weighting",
+                    rank=rank,
+                )
+            delta_u = np.linalg.lstsq(phi_u, residual, rcond=None)[0]
+        else:
+            delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
+    return _Step(
+        delta_u=delta_u,
+        u=us[0] + delta_u,
+        cost=_cost(phi_u, entries, residual, delta_u),
+        iterations=0,
+        converged=True,
+        output_blocks=output_blocks,
+        input_blocks=input_blocks,
+    )
 
 
 def mfac_step(
@@ -179,35 +254,63 @@ def mfac_step(
     is zero and the lead block is rank deficient in its columns but still
     spans the outputs; fewer independent rows than outputs is an error.
     """
-    y_now, y_ref = _check_controller_args(pjm, window, y_now, y_ref, w)
-    dims = window.dims
-    phi_u = pjm.lead_input_block
-    residual = _history_residual(pjm, window, y_now, y_ref)
-    A = phi_u.T @ phi_u + w.matrix
-    b = phi_u.T @ residual
-    try:
-        np.linalg.cholesky(A)
-        delta_u = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        if np.all(w.entries == 0.0):
-            rank = int(np.linalg.matrix_rank(phi_u))
-            if rank < dims.My:
-                raise RankDeficiencyError(
-                    f"lead block rank {rank} cannot reach all {dims.My} outputs with zero weighting",
-                    rank=rank,
-                )
-            delta_u = np.linalg.lstsq(phi_u, residual, rcond=None)[0]
-        else:
-            delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
-    u_prev = window.u_history[0]
-    return ControlDecision(
-        delta_u=delta_u,
-        u=u_prev + delta_u,
-        cost=_cost(phi_u, w, residual, delta_u),
-        iterations=0,
-        condition_number=_condition_number(phi_u),
-        pjm=pjm,
+    y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
+    step = _solve_step(
+        pjm.output_blocks, pjm.input_blocks, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix
     )
+    return _decision(step, pjm)
+
+
+def _box_step(
+    output_blocks: Sequence[np.ndarray],
+    input_blocks: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    us: Sequence[np.ndarray],
+    y_now: np.ndarray,
+    y_ref: np.ndarray,
+    entries: np.ndarray,
+    penalty: np.ndarray,
+    box: BoxConstraints,
+) -> _Step:
+    """Core of mfac_constrained_step on validated operands; penalty is diag(entries)."""
+    u_prev = us[0]
+    lo = box.lower - u_prev
+    hi = box.upper - u_prev
+    phi_u = input_blocks[0]
+    residual = _history_residual(output_blocks, input_blocks, ys, us, y_now, y_ref)
+    G = phi_u.T @ phi_u + penalty
+    c = phi_u.T @ residual
+
+    x = np.clip(np.zeros(u_prev.shape[0]), lo, hi)
+    sweeps = 0
+    for sweeps in range(1, SWEEP_MAX + 1):
+        biggest = 0.0
+        for j in range(x.shape[0]):
+            coupled = G[j] @ x - G[j, j] * x[j]
+            if G[j, j] > 0.0:
+                new = (c[j] - coupled) / G[j, j]
+            else:
+                new = 0.0  # coordinate has no effect on the cost
+            new = min(max(new, lo[j]), hi[j])
+            biggest = max(biggest, abs(new - x[j]))
+            x[j] = new
+        if biggest < SWEEP_TOL:
+            break
+    u = box.clip(u_prev + x)
+    return _Step(
+        delta_u=u - u_prev,
+        u=u,
+        cost=_cost(phi_u, entries, residual, x),
+        iterations=sweeps,
+        converged=True,
+        output_blocks=output_blocks,
+        input_blocks=input_blocks,
+    )
+
+
+def _check_box(box: BoxConstraints, size: int) -> None:
+    if box.lower.shape != (size,):
+        raise ShapeError(f"box bounds must have shape ({size},)")
 
 
 def mfac_constrained_step(
@@ -224,56 +327,54 @@ def mfac_constrained_step(
     lower <= u_prev + du <= upper.  Sweeps coordinates until the largest
     update falls below SWEEP_TOL or SWEEP_MAX sweeps elapse.
     """
-    y_now, y_ref = _check_controller_args(pjm, window, y_now, y_ref, w)
-    if box.lower.shape != (window.dims.Mu,):
-        raise ShapeError(f"box bounds must have shape ({window.dims.Mu},)")
-    u_prev = window.u_history[0]
-    lo = box.lower - u_prev
-    hi = box.upper - u_prev
-    phi_u = pjm.lead_input_block
-    residual = _history_residual(pjm, window, y_now, y_ref)
-    G = phi_u.T @ phi_u + w.matrix
-    c = phi_u.T @ residual
+    y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
+    _check_box(box, window.dims.Mu)
+    step = _box_step(
+        pjm.output_blocks, pjm.input_blocks, window.y_history, window.u_history, y_now, y_ref,
+        w.entries, w.matrix, box,
+    )
+    return _decision(step, pjm)
 
-    x = np.clip(np.zeros(window.dims.Mu), lo, hi)
-    sweeps = 0
-    for sweeps in range(1, SWEEP_MAX + 1):
-        biggest = 0.0
-        for j in range(x.shape[0]):
-            coupled = G[j] @ x - G[j, j] * x[j]
-            if G[j, j] > 0.0:
-                new = (c[j] - coupled) / G[j, j]
-            else:
-                new = 0.0  # coordinate has no effect on the cost
-            new = min(max(new, lo[j]), hi[j])
-            biggest = max(biggest, abs(new - x[j]))
-            x[j] = new
-        if biggest < SWEEP_TOL:
+
+def _quartic_step(
+    model: DifferentiableModel,
+    args: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    us: Sequence[np.ndarray],
+    y_now: np.ndarray,
+    y_ref: np.ndarray,
+    entries: np.ndarray,
+    penalty: np.ndarray,
+) -> _Step:
+    """Core of mfac_quartic_step on validated operands.
+
+    args is the linearization point at step k-1.  The first-order blocks and
+    the slot Hessians do not depend on the iterate, so they are computed once;
+    each pass only redoes the half-Hessian correction and the quadratic solve.
+    """
+    dims = model.dims
+    n_y = dims.ny + 1
+    blocks = _first_order_blocks(model, args)
+    out_blocks, in_blocks = _padded_blocks(dims, blocks)
+    delta_u = _solve_step(out_blocks, in_blocks, ys, us, y_now, y_ref, entries, penalty).delta_u
+    hessians = _slot_hessians(model, args)
+    committed = [ys[i] - ys[i + 1] for i in range(n_y)]
+    lagged = [us[j] - us[j + 1] if j + 1 < len(us) else np.zeros(dims.Mu) for j in range(dims.nu)]
+
+    best: _Step | None = None
+    converged = False
+    passes = 0
+    for passes in range(1, QUARTIC_MAX_PASSES + 1):
+        corrected = _curvature_corrected(blocks, hessians, committed + [delta_u] + lagged)
+        step = _solve_step(*_padded_blocks(dims, corrected), ys, us, y_now, y_ref, entries, penalty)
+        if best is None or step.cost < best.cost:
+            best = step
+        if np.max(np.abs(step.delta_u - delta_u)) < QUARTIC_TOL:
+            converged = True
             break
-    u = box.clip(u_prev + x)
-    return ControlDecision(
-        delta_u=u - u_prev,
-        u=u,
-        cost=_cost(phi_u, w, residual, x),
-        iterations=sweeps,
-        condition_number=_condition_number(phi_u),
-        pjm=pjm,
-    )
-
-
-def _control_window_parts(window: RegressorWindow) -> tuple[RegressorWindow, list[np.ndarray], list[np.ndarray]]:
-    """Linearization point at step k-1 plus the committed increment lists."""
-    dims = window.dims
-    if len(window.y_history) < dims.Ly + 1:
-        raise ShapeError(f"window needs {dims.Ly + 1} output samples, has {len(window.y_history)}")
-    point = RegressorWindow(
-        dims=dims, k=window.k - 1, y_history=window.y_history[1:], u_history=window.u_history
-    )
-    delta_ys = [window.y_history[i] - window.y_history[i + 1] for i in range(dims.Ly)]
-    delta_u_hist = [window.u_history[j] - window.u_history[j + 1] for j in range(min(dims.Lu - 1, len(window.u_history) - 1))]
-    while len(delta_u_hist) < dims.Lu - 1:
-        delta_u_hist.append(np.zeros(dims.Mu))
-    return point, delta_ys, delta_u_hist
+        delta_u = step.delta_u
+    chosen = step if converged else best
+    return chosen._replace(iterations=passes, converged=converged)
 
 
 def mfac_quartic_step(
@@ -292,35 +393,15 @@ def mfac_quartic_step(
     (QUARTIC_TOL in the max norm) or QUARTIC_MAX_PASSES elapse.  On a cap-out
     the best-cost iterate is returned flagged non-converged.
     """
-    point, delta_ys, delta_u_hist = _control_window_parts(window)
-    base = pjm_first_order(model, point)
-    first = mfac_step(base, window, y_now, y_ref, w)
-    delta_u = first.delta_u
-
-    best: ControlDecision | None = None
-    converged = False
-    passes = 0
-    for passes in range(1, QUARTIC_MAX_PASSES + 1):
-        corrected = pjm_second_order(model, point, delta_ys, [delta_u] + delta_u_hist)
-        step = mfac_step(corrected, window, y_now, y_ref, w)
-        if best is None or step.cost < best.cost:
-            best = step
-        if np.max(np.abs(step.delta_u - delta_u)) < QUARTIC_TOL:
-            delta_u = step.delta_u
-            best = step if step.cost <= best.cost else best
-            converged = True
-            break
-        delta_u = step.delta_u
-    chosen = step if converged else best
-    return ControlDecision(
-        delta_u=chosen.delta_u,
-        u=chosen.u,
-        cost=chosen.cost,
-        iterations=passes,
-        condition_number=chosen.condition_number,
-        converged=converged,
-        pjm=chosen.pjm,
-    )
+    dims = window.dims
+    if len(window.y_history) < dims.Ly + 1:
+        raise ShapeError(f"window needs {dims.Ly + 1} output samples, has {len(window.y_history)}")
+    point = RegressorWindow(dims=dims, k=window.k - 1, y_history=window.y_history[1:], u_history=window.u_history)
+    args = _operating_args(model, point)
+    md = model.dims
+    y_now, y_ref = _check_controller_args((md.My, md.Mu, md.Ly, md.Lu), window, y_now, y_ref, w)
+    step = _quartic_step(model, args, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix)
+    return _decision(step)
 
 
 def iterative_mfac_step(

@@ -104,6 +104,19 @@ class RegressorWindow:
             raise ShapeError("u_history must hold at least one input sample")
 
 
+def _frozen_blocks(blocks, shape: tuple[int, int], kind: str) -> tuple[np.ndarray, ...]:
+    out = []
+    for i, b in enumerate(blocks):
+        a = np.array(b, dtype=float)
+        if a.shape != shape:
+            raise ShapeError(f"{kind} block {i + 1} has shape {a.shape}, expected {shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{kind} block {i + 1} contains non-finite entries")
+        a.setflags(write=False)
+        out.append(a)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PseudoJacobian:
     """Blocked gain estimate Phi_L(k): Ly output blocks then Lu input blocks."""
@@ -114,30 +127,9 @@ class PseudoJacobian:
     def __post_init__(self):
         if len(self.input_blocks) < 1:
             raise ShapeError("at least one input block (Lu >= 1) is required")
-        My = np.asarray(self.input_blocks[0]).shape[0]
-        ob = []
-        for i, b in enumerate(self.output_blocks):
-            a = np.asarray(b, dtype=float)
-            if a.shape != (My, My):
-                raise ShapeError(f"output block {i + 1} has shape {a.shape}, expected ({My}, {My})")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"output block {i + 1} contains non-finite entries")
-            a = a.copy()
-            a.setflags(write=False)
-            ob.append(a)
-        Mu = np.asarray(self.input_blocks[0]).shape[1]
-        ib = []
-        for j, b in enumerate(self.input_blocks):
-            a = np.asarray(b, dtype=float)
-            if a.shape != (My, Mu):
-                raise ShapeError(f"input block {j + 1} has shape {a.shape}, expected ({My}, {Mu})")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"input block {j + 1} contains non-finite entries")
-            a = a.copy()
-            a.setflags(write=False)
-            ib.append(a)
-        object.__setattr__(self, "output_blocks", tuple(ob))
-        object.__setattr__(self, "input_blocks", tuple(ib))
+        My, Mu = np.shape(self.input_blocks[0])[:2]
+        object.__setattr__(self, "output_blocks", _frozen_blocks(self.output_blocks, (My, My), "output"))
+        object.__setattr__(self, "input_blocks", _frozen_blocks(self.input_blocks, (My, Mu), "input"))
 
     @classmethod
     def constant(cls, value: float, dims: Dimensions) -> "PseudoJacobian":
@@ -194,6 +186,12 @@ class DifferentiableModel(ABC):
 
     evaluate takes the argument slots in that order (ny = -1 drops the output
     slots entirely) and returns the next output vector.
+
+    evaluate_batch takes the same slots with a leading batch axis, each of
+    shape (B, size), and returns shape (B, My); row b must equal
+    evaluate([slot[b] for slot in args]) bit for bit, because the
+    finite-difference pseudo-Jacobians go through it.  The default loops over
+    evaluate; override it only with arithmetic that rounds identically.
     """
 
     @property
@@ -205,14 +203,29 @@ class DifferentiableModel(ABC):
     def evaluate(self, args: Sequence[np.ndarray]) -> np.ndarray:
         ...
 
+    def evaluate_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        return np.array([self.evaluate([a[b] for a in args]) for b in range(args[0].shape[0])], dtype=float)
+
     def _checked_eval(self, args: Sequence[np.ndarray]) -> np.ndarray:
         y = np.asarray(self.evaluate(args), dtype=float)
         if y.shape != (self.dims.My,):
             raise ShapeError(f"model returned shape {y.shape}, expected ({self.dims.My},)")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise NonFiniteModelError(f"model output component {bad} is non-finite", arg_index=bad)
         return y
+
+    def _checked_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        """evaluate_batch with the checks of _checked_eval; the first bad row decides the error."""
+        count = args[0].shape[0]
+        F = np.asarray(self.evaluate_batch(args), dtype=float)
+        if F.shape != (count, self.dims.My):
+            raise ShapeError(f"model returned shape {F.shape} for a batch, expected ({count}, {self.dims.My})")
+        finite = np.isfinite(F)
+        if not finite.all():
+            bad = int(np.argwhere(~finite)[0, 1])
+            raise NonFiniteModelError(f"model output component {bad} is non-finite", arg_index=bad)
+        return F
 
 
 def build_delta_regressor(window_now: RegressorWindow, window_prev: RegressorWindow) -> np.ndarray:
@@ -240,8 +253,7 @@ def predict_delta_output(pjm: PseudoJacobian, delta_regressor: np.ndarray) -> np
     return flat @ dh
 
 
-def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[np.ndarray]:
-    dims = model.dims
+def _check_orders(dims: Dimensions) -> None:
     if dims.ny is None or dims.nu is None:
         raise ValueError("model orders ny, nu must be declared for pseudo-Jacobian computation")
     if dims.Ly < dims.ny + 1 or dims.Lu < dims.nu + 1:
@@ -249,6 +261,11 @@ def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[
             f"window lengths Ly={dims.Ly}, Lu={dims.Lu} must cover the true orders "
             f"ny={dims.ny}, nu={dims.nu} (residual terms are not modelled)"
         )
+
+
+def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[np.ndarray]:
+    dims = model.dims
+    _check_orders(dims)
     if point.dims.My != dims.My or point.dims.Mu != dims.Mu:
         raise ShapeError("operating point signal sizes do not match the model")
     n_y = dims.ny + 1
@@ -257,55 +274,92 @@ def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[
         raise ShapeError(f"operating point needs {n_y} output samples, has {len(point.y_history)}")
     if len(point.u_history) < n_u:
         raise ShapeError(f"operating point needs {n_u} input samples, has {len(point.u_history)}")
-    args = [point.y_history[i].copy() for i in range(n_y)]
-    args += [point.u_history[j].copy() for j in range(n_u)]
-    return args
+    return list(point.y_history[:n_y]) + list(point.u_history[:n_u])
 
 
-def _jacobian_block(model: DifferentiableModel, args: list[np.ndarray], slot: int) -> np.ndarray:
-    """Central-difference derivative of f with respect to one argument slot."""
-    width = args[slot].shape[0]
-    block = np.empty((model.dims.My, width))
-    for j in range(width):
-        x = args[slot][j]
-        h = max(FD_STEP, FD_STEP * abs(x))
-        hi = [a.copy() for a in args]
-        lo = [a.copy() for a in args]
-        hi[slot][j] = x + h
-        lo[slot][j] = x - h
-        block[:, j] = (model._checked_eval(hi) - model._checked_eval(lo)) / (2.0 * h)
-    return block
+def _batch_args(args: Sequence[np.ndarray], shifts: list) -> list[np.ndarray]:
+    """One copy of args per shift; a shift lists (slot, index, step) additions made in order."""
+    batch = [np.repeat(a[None, :], len(shifts), axis=0) for a in args]
+    for row, shift in enumerate(shifts):
+        for slot, index, step in shift:
+            batch[slot][row, index] += step
+    return batch
 
 
-def _slot_hessians(model: DifferentiableModel, args: list[np.ndarray], slot: int) -> np.ndarray:
-    """Hessians of every output component with respect to one argument slot.
+def _first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Central-difference derivative of f with respect to every argument slot.
 
-    Returns shape (My, w, w) where w is the slot width.  Nested central
-    differences with a fixed step; the result is symmetrized by construction.
+    Coordinate i of the stacked arguments is stepped up in batch row 2i and
+    down in row 2i+1; all rows go through one batched evaluation.  Block s
+    has shape (My, width of slot s).
     """
-    w = args[slot].shape[0]
+    x = np.concatenate(args)
+    n = x.shape[0]
+    h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
+    X = np.repeat(x[None, :], 2 * n, axis=0)
+    # Flat positions of (2i, i); (2i+1, i) lies n further on.
+    up = np.arange(0, 2 * n * n, 2 * n + 1)
+    X.reshape(-1)[up] += h
+    X.reshape(-1)[up + n] -= h
+    bounds = [0]
+    for a in args:
+        bounds.append(bounds[-1] + a.shape[0])
+    F = model._checked_batch([X[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    D = ((F[0::2] - F[1::2]) / (2.0 * h)[:, None]).T
+    return [D[:, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _slot_hessians(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Hessians of every output component with respect to each argument slot.
+
+    Entry s has shape (My, w, w) where w is the width of slot s.  Nested
+    central differences with a fixed step, all points in one batched
+    evaluation; the result is symmetrized by construction.
+    """
     h = HESSIAN_STEP
-    H = np.empty((model.dims.My, w, w))
-    f0 = model._checked_eval(args)
+    shifts = [[]]
+    for slot, a in enumerate(args):
+        for i in range(a.shape[0]):
+            shifts += [[(slot, i, h)], [(slot, i, -h)]]
+            for j in range(i + 1, a.shape[0]):
+                shifts += [
+                    [(slot, i, h), (slot, j, h)],
+                    [(slot, i, h), (slot, j, -h)],
+                    [(slot, i, -h), (slot, j, h)],
+                    [(slot, i, -h), (slot, j, -h)],
+                ]
+    F = model._checked_batch(_batch_args(args, shifts))
+    twice_f0 = 2.0 * F[0]
+    row = 1
+    out = []
+    for a in args:
+        w = a.shape[0]
+        H = np.empty((model.dims.My, w, w))
+        for i in range(w):
+            H[:, i, i] = (F[row] - twice_f0 + F[row + 1]) / (h * h)
+            row += 2
+            for j in range(i + 1, w):
+                mixed = (F[row] - F[row + 1] - F[row + 2] + F[row + 3]) / (4.0 * h * h)
+                H[:, i, j] = mixed
+                H[:, j, i] = mixed
+                row += 4
+        out.append(H)
+    return out
 
-    def shifted(di: int, hi: float, dj: int, hj: float) -> np.ndarray:
-        pt = [a.copy() for a in args]
-        pt[slot][di] += hi
-        pt[slot][dj] += hj
-        return model._checked_eval(pt)
 
-    for i in range(w):
-        H[:, i, i] = (shifted(i, h, i, 0.0) - 2.0 * f0 + shifted(i, -h, i, 0.0)) / (h * h)
-        for j in range(i + 1, w):
-            mixed = (
-                shifted(i, h, j, h)
-                - shifted(i, h, j, -h)
-                - shifted(i, -h, j, h)
-                + shifted(i, -h, j, -h)
-            ) / (4.0 * h * h)
-            H[:, i, j] = mixed
-            H[:, j, i] = mixed
-    return H
+def _curvature_corrected(
+    blocks: Sequence[np.ndarray], hessians: Sequence[np.ndarray], deltas: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Row r of slot block s gains 0.5 * deltas[s]^T * Hess(f_r) for that slot."""
+    return [b + 0.5 * np.einsum("j,rjc->rc", d, H) for b, H, d in zip(blocks, hessians, deltas)]
+
+
+def _padded_blocks(dims: Dimensions, slot_blocks: Sequence[np.ndarray]) -> tuple[list, list]:
+    """Output and input block lists of the window layout; blocks beyond the true orders are zero."""
+    n_y = dims.ny + 1
+    out_blocks = list(slot_blocks[:n_y]) + [np.zeros((dims.My, dims.My)) for _ in range(dims.Ly - n_y)]
+    in_blocks = list(slot_blocks[n_y:]) + [np.zeros((dims.My, dims.Mu)) for _ in range(dims.Lu - dims.nu - 1)]
+    return out_blocks, in_blocks
 
 
 def pjm_first_order(model: DifferentiableModel, operating_point: RegressorWindow) -> PseudoJacobian:
@@ -316,13 +370,8 @@ def pjm_first_order(model: DifferentiableModel, operating_point: RegressorWindow
     caller supplies the step-(k-1) history).  Blocks beyond the true orders
     are zero.
     """
-    dims = model.dims
     args = _operating_args(model, operating_point)
-    n_y = dims.ny + 1
-    out_blocks = [_jacobian_block(model, args, s) for s in range(n_y)]
-    out_blocks += [np.zeros((dims.My, dims.My)) for _ in range(dims.Ly - n_y)]
-    in_blocks = [_jacobian_block(model, args, n_y + s) for s in range(dims.nu + 1)]
-    in_blocks += [np.zeros((dims.My, dims.Mu)) for _ in range(dims.Lu - (dims.nu + 1))]
+    out_blocks, in_blocks = _padded_blocks(model.dims, _first_order_blocks(model, args))
     return PseudoJacobian(output_blocks=tuple(out_blocks), input_blocks=tuple(in_blocks))
 
 
@@ -340,7 +389,6 @@ def pjm_second_order(
     dy(k), delta_us[0] is du(k), older increments follow.
     """
     dims = model.dims
-    base = pjm_first_order(model, operating_point)
     args = _operating_args(model, operating_point)
     n_y = dims.ny + 1
     n_u = dims.nu + 1
@@ -348,15 +396,8 @@ def pjm_second_order(
         raise ShapeError(f"need {n_y} output increments, got {len(delta_ys)}")
     if len(delta_us) < n_u:
         raise ShapeError(f"need {n_u} input increments, got {len(delta_us)}")
-    delta_ys = _as_vectors(delta_ys, dims.My, "delta_ys")
-    delta_us = _as_vectors(delta_us, dims.Mu, "delta_us")
-
-    out_blocks = [b.copy() for b in base.output_blocks]
-    for s in range(n_y):
-        H = _slot_hessians(model, args, s)
-        out_blocks[s] += 0.5 * np.einsum("j,rjc->rc", delta_ys[s], H)
-    in_blocks = [b.copy() for b in base.input_blocks]
-    for s in range(n_u):
-        H = _slot_hessians(model, args, n_y + s)
-        in_blocks[s] += 0.5 * np.einsum("j,rjc->rc", delta_us[s], H)
+    deltas = _as_vectors(delta_ys, dims.My, "delta_ys")[:n_y] + _as_vectors(delta_us, dims.Mu, "delta_us")[:n_u]
+    blocks = _first_order_blocks(model, args)
+    corrected = _curvature_corrected(blocks, _slot_hessians(model, args), deltas)
+    out_blocks, in_blocks = _padded_blocks(dims, corrected)
     return PseudoJacobian(output_blocks=tuple(out_blocks), input_blocks=tuple(in_blocks))

@@ -12,18 +12,21 @@ import numpy as np
 from .controller import (
     BoxConstraints,
     Weighting,
-    mfac_constrained_step,
-    mfac_quartic_step,
-    mfac_step,
+    _box_step,
+    _check_box,
+    _quartic_step,
+    _solve_step,
 )
 from .edlm import (
     DifferentiableModel,
     Dimensions,
     PseudoJacobian,
     RegressorWindow,
+    _check_orders,
+    _first_order_blocks,
+    _padded_blocks,
     pjm_csv_header,
     pjm_csv_values,
-    pjm_first_order,
 )
 from .errors import DivergenceError, ShapeError
 
@@ -39,9 +42,11 @@ class Example1Plant(DifferentiableModel):
     y2(k+1) = -0.1 y1(k)^2 + 0.2 y2(k)^3 + u1(k)^2 + 0.8 u2(k) + u1(k-1)^3 + u2(k-1)^3
     """
 
+    _DIMS = Dimensions.preferred(My=2, Mu=2, ny=0, nu=1)
+
     @property
     def dims(self) -> Dimensions:
-        return Dimensions.preferred(My=2, Mu=2, ny=0, nu=1)
+        return self._DIMS
 
     def evaluate(self, args: Sequence[np.ndarray]) -> np.ndarray:
         y, u, v = args
@@ -73,12 +78,17 @@ class LTIPlant(DifferentiableModel):
         return self._dims
 
     def evaluate(self, args: Sequence[np.ndarray]) -> np.ndarray:
-        n_y = len(self._a)
         out = np.zeros(self._b[0].shape[0])
-        for i, a in enumerate(self._a):
-            out += a @ args[i]
-        for j, b in enumerate(self._b):
-            out += b @ args[n_y + j]
+        for m, x in zip(self._a + self._b, args):
+            out += m @ x
+        return out
+
+    def evaluate_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        # A stacked matrix-vector product rounds like `m @ x` row by row;
+        # `X @ m.T` goes through a matrix-matrix kernel and does not.
+        out = np.zeros((args[0].shape[0], self._b[0].shape[0]))
+        for m, x in zip(self._a + self._b, args):
+            out += np.matmul(m, x[..., None])[..., 0]
         return out
 
 
@@ -247,6 +257,10 @@ def simulate(
     last input since no later output is logged.  Any output leaving
     [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] aborts with a DivergenceError
     carrying the failing step and the partial log.
+
+    The arguments are validated here, once; the loop then calls the control
+    laws' cores on plain history lists and checks only what each step brings
+    in: plant outputs, reference samples and the divergence limit.
     """
     if controller_variant not in VARIANTS:
         raise ValueError(f"unknown controller variant {controller_variant!r}, expected one of {VARIANTS}")
@@ -255,8 +269,11 @@ def simulate(
     dims = plant.dims
     if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
         raise ShapeError("init window signal sizes do not match the plant")
-    if dims.ny is None or dims.nu is None:
-        raise ValueError("plant orders ny, nu must be declared for simulation")
+    _check_orders(dims)
+    if w.size != dims.Mu:
+        raise ShapeError(f"weighting has {w.size} entries, expected {dims.Mu}")
+    if controller_variant == "constrained":
+        _check_box(box, dims.Mu)
     k0 = init.k
     if not 1 <= k0 <= steps:
         raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
@@ -265,6 +282,10 @@ def simulate(
     depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
     y_hist = _padded(init.y_history, depth_y, dims.My)
     u_hist = _padded(init.u_history, depth_u, dims.Mu)
+    n_y = dims.ny + 1
+    n_u = dims.nu + 1
+    entries = w.entries
+    penalty = w.matrix
 
     log = SimLog(dims=dims, variant=controller_variant, weighting=w, box=box)
     seed = pjm_seed if pjm_seed is not None else PseudoJacobian.constant(0.0, dims)
@@ -280,39 +301,43 @@ def simulate(
         )
 
     last_pjm = seed
+    ref_now = reference.sample(k0)
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
-        if np.max(np.abs(y_now)) > DIVERGENCE_LIMIT:
+        if np.abs(y_now).max() > DIVERGENCE_LIMIT:
             raise DivergenceError(f"output left the admissible region at step {k}", step=k, log=log)
         if k < steps:
-            target = reference.sample(k + 1)
-            window = RegressorWindow(dims=dims, k=k, y_history=y_hist, u_history=u_hist)
+            ref_next = reference.sample(k + 1)
+            target = np.atleast_1d(np.asarray(ref_next, dtype=float))
+            if target.shape != (dims.My,):
+                raise ShapeError(f"reference samples must have shape ({dims.My},), got {target.shape}")
+            # Linearization point at step k-1.
+            args = y_hist[1:1 + n_y] + u_hist[:n_u]
             if controller_variant == "quartic":
-                decision = mfac_quartic_step(plant, window, y_now, target, w)
+                step = _quartic_step(plant, args, y_hist, u_hist, y_now, target, entries, penalty)
             else:
-                point = RegressorWindow(dims=dims, k=k - 1, y_history=y_hist[1:], u_history=u_hist)
-                pjm = pjm_first_order(plant, point)
+                blocks = _padded_blocks(dims, _first_order_blocks(plant, args))
                 if controller_variant == "constrained":
-                    decision = mfac_constrained_step(pjm, window, y_now, target, w, box)
+                    step = _box_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty, box)
                 else:
-                    decision = mfac_step(pjm, window, y_now, target, w)
-            last_pjm = decision.pjm if decision.pjm is not None else last_pjm
-            u_new = decision.u
-            du = decision.delta_u
-            cost = decision.cost
-            iters = decision.iterations
+                    step = _solve_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty)
+            last_pjm = PseudoJacobian(output_blocks=tuple(step.output_blocks), input_blocks=tuple(step.input_blocks))
+            u_new = step.u
+            du = step.delta_u
+            cost = step.cost
+            iters = step.iterations
         else:
             u_new = u_hist[0]
             du = np.zeros(dims.Mu)
             cost = 0.0
             iters = 0
         log.records.append(
-            SimRecord(k=k, y=y_now, y_ref=reference.sample(k), u=u_new, delta_u=du,
+            SimRecord(k=k, y=y_now, y_ref=ref_now, u=u_new, delta_u=du,
                       pjm=last_pjm, cost=cost, iterations=iters)
         )
         if k < steps:
-            args = [y_hist[i] for i in range(dims.ny + 1)] + [u_new] + [u_hist[j] for j in range(dims.nu)]
-            y_next = plant._checked_eval(args)
+            y_next = plant._checked_eval(y_hist[:n_y] + [u_new] + u_hist[:dims.nu])
             y_hist = [y_next] + y_hist[:-1]
             u_hist = [u_new] + u_hist[:-1]
+            ref_now = ref_next
     return log

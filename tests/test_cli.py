@@ -2,11 +2,15 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+
+import mfaclab
 
 from mfaclab.cli import (
     DEFAULT_OUT,
@@ -268,3 +272,17 @@ def test_console_script_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "s" / "stability_scalar.csv").is_file()
+
+
+def test_module_entrypoint_runs_without_warnings():
+    # importing the package must not import mfaclab.cli ahead of `-m`
+    src = str(Path(mfaclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mfaclab.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfaclab.edlm import (
+    FD_STEP,
+    HESSIAN_STEP,
     DifferentiableModel,
     Dimensions,
     PseudoJacobian,
@@ -254,6 +256,123 @@ def test_first_order_rejects_short_operating_point():
     op = window(plant.dims, 2, [np.zeros(2)], [np.zeros(2)])
     with pytest.raises(ShapeError):
         pjm_first_order(plant, op)
+
+
+# ------------------------------------------- batched against point-by-point
+
+
+def sequential_block(model, args, slot):
+    """Central differences with one evaluate call per perturbed point."""
+    block = np.empty((model.dims.My, args[slot].shape[0]))
+    for j in range(args[slot].shape[0]):
+        x = args[slot][j]
+        h = max(FD_STEP, FD_STEP * abs(x))
+        hi = [a.copy() for a in args]
+        lo = [a.copy() for a in args]
+        hi[slot][j] = x + h
+        lo[slot][j] = x - h
+        block[:, j] = (model.evaluate(hi) - model.evaluate(lo)) / (2.0 * h)
+    return block
+
+
+def sequential_hessian(model, args, slot):
+    """Nested central differences with one evaluate call per shifted point."""
+    w = args[slot].shape[0]
+    h = HESSIAN_STEP
+    H = np.empty((model.dims.My, w, w))
+    f0 = model.evaluate(args)
+
+    def shifted(di, hi, dj, hj):
+        pt = [a.copy() for a in args]
+        pt[slot][di] += hi
+        pt[slot][dj] += hj
+        return model.evaluate(pt)
+
+    for i in range(w):
+        H[:, i, i] = (shifted(i, h, i, 0.0) - 2.0 * f0 + shifted(i, -h, i, 0.0)) / (h * h)
+        for j in range(i + 1, w):
+            mixed = (shifted(i, h, j, h) - shifted(i, h, j, -h)
+                     - shifted(i, -h, j, h) + shifted(i, -h, j, -h)) / (4.0 * h * h)
+            H[:, i, j] = mixed
+            H[:, j, i] = mixed
+    return H
+
+
+def random_operating_points(count, seed):
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        if n % 2:
+            yield Example1Plant(), rng.uniform(-0.5, 0.5, size=(1, 2)), rng.uniform(-0.5, 0.5, size=(2, 2))
+            continue
+        My, Mu, ny = (int(v) for v in rng.integers(1, 4, size=3))
+        ny -= 2  # -1, 0 or 1
+        plant = LTIPlant([rng.normal(size=(My, My)) for _ in range(ny + 1)], [rng.normal(size=(My, Mu))] * 2)
+        yield plant, rng.normal(size=(ny + 1, My)), rng.normal(size=(2, Mu)) * 100.0
+
+
+def test_batched_first_order_equals_point_by_point_bitwise():
+    for plant, ys, us in random_operating_points(30, seed=7):
+        pjm = pjm_first_order(plant, window(plant.dims, 4, list(ys), list(us)))
+        args = list(ys) + list(us)
+        for slot, block in enumerate(pjm.output_blocks + pjm.input_blocks):
+            assert np.array_equal(block, sequential_block(plant, args, slot))
+
+
+def test_batched_second_order_equals_point_by_point_bitwise():
+    rng = np.random.default_rng(8)
+    for plant, ys, us in random_operating_points(20, seed=9):
+        args = list(ys) + list(us)
+        deltas = [0.1 * rng.normal(size=a.shape) for a in args]
+        op = window(plant.dims, 4, list(ys), list(us))
+        pjm = pjm_second_order(plant, op, deltas[: len(ys)], deltas[len(ys):])
+        for slot, block in enumerate(pjm.output_blocks + pjm.input_blocks):
+            H = sequential_hessian(plant, args, slot)
+            want = sequential_block(plant, args, slot)
+            want += 0.5 * np.einsum("j,rjc->rc", deltas[slot], H)
+            assert np.array_equal(block, want)
+
+
+def test_default_evaluate_batch_loops_over_evaluate():
+    plant = Example1Plant()
+    rng = np.random.default_rng(3)
+    args = [rng.normal(size=(5, 2)) for _ in range(3)]
+    rows = [plant.evaluate([a[b] for a in args]) for b in range(5)]
+    assert np.array_equal(plant.evaluate_batch(args), np.array(rows))
+
+
+def test_batch_reports_the_first_nonfinite_point():
+    class LateNaN(DifferentiableModel):
+        @property
+        def dims(self):
+            return Dimensions.preferred(My=3, Mu=2, ny=-1, nu=0)
+
+        def evaluate(self, args):
+            (u,) = args
+            out = np.array([u[0], u[1], 0.0])
+            if u[0] < 0.0:  # the downward step of coordinate 0, evaluated second
+                out[2] = np.nan
+            if u[1] < 0.0:  # the downward step of coordinate 1, evaluated fourth
+                out[0] = np.inf
+            return out
+
+    plant = LateNaN()
+    with pytest.raises(NonFiniteModelError) as err:
+        pjm_first_order(plant, window(plant.dims, 1, [], [np.zeros(2)]))
+    assert err.value.arg_index == 2
+
+
+def test_batch_shape_is_checked():
+    class Wide(DifferentiableModel):
+        @property
+        def dims(self):
+            return Dimensions.preferred(My=1, Mu=1, ny=-1, nu=0)
+
+        def evaluate(self, args):
+            return np.zeros(2)
+
+    plant = Wide()
+    with pytest.raises(ShapeError):
+        pjm_first_order(plant, window(plant.dims, 1, [], [np.zeros(1)]))
 
 
 # --------------------------------------------------------- second-order PJM

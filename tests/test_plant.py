@@ -1,15 +1,32 @@
 """Tests for the benchmark plants, reference signals, and simulation harness."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
 from mfaclab.analysis import ramp_static_error
-from mfaclab.controller import BoxConstraints, Weighting
-from mfaclab.edlm import Dimensions, PseudoJacobian, RegressorWindow
-from mfaclab.errors import DivergenceError, ShapeError
+from mfaclab.cli import TEST_LOOPS
+from mfaclab.controller import (
+    QUARTIC_MAX_PASSES,
+    QUARTIC_TOL,
+    BoxConstraints,
+    Weighting,
+    mfac_constrained_step,
+    mfac_step,
+)
+from mfaclab.edlm import (
+    FD_STEP,
+    DifferentiableModel,
+    Dimensions,
+    PseudoJacobian,
+    RegressorWindow,
+    pjm_first_order,
+    pjm_second_order,
+)
+from mfaclab.errors import DivergenceError, NonFiniteModelError, ShapeError
 from mfaclab.plant import (
     DIVERGENCE_LIMIT,
     SIMLOG_SCHEMA,
@@ -18,6 +35,7 @@ from mfaclab.plant import (
     Example1Reference,
     LTIPlant,
     RampReference,
+    ReferenceSignal,
     SimLog,
     SimRecord,
     StepReference,
@@ -422,3 +440,200 @@ def test_metrics_match_csv_recomputation():
     report = metrics(log, transient_cutoff=cutoff)
     np.testing.assert_allclose(report.rmse, np.sqrt(np.mean(err**2, axis=0)), rtol=1e-12)
     np.testing.assert_allclose(report.max_abs_error, np.max(np.abs(err), axis=0), rtol=1e-12)
+
+
+# ------------------------------------------------ lean kernel equivalence
+
+
+def unhoisted_quartic(model, window, y_now, y_ref, w):
+    """The quartic fixed point with pjm_second_order rebuilt on every pass."""
+    dims = window.dims
+    point = RegressorWindow(dims=dims, k=window.k - 1, y_history=window.y_history[1:], u_history=window.u_history)
+    delta_ys = [window.y_history[i] - window.y_history[i + 1] for i in range(dims.Ly)]
+    delta_u_hist = [window.u_history[j] - window.u_history[j + 1] for j in range(dims.Lu - 1)]
+    delta_u = mfac_step(pjm_first_order(model, point), window, y_now, y_ref, w).delta_u
+    best = None
+    for passes in range(1, QUARTIC_MAX_PASSES + 1):
+        corrected = pjm_second_order(model, point, delta_ys, [delta_u] + delta_u_hist)
+        step = mfac_step(corrected, window, y_now, y_ref, w)
+        if best is None or step.cost < best.cost:
+            best = step
+        if np.max(np.abs(step.delta_u - delta_u)) < QUARTIC_TOL:
+            return dataclasses.replace(step, iterations=passes)
+        delta_u = step.delta_u
+    return dataclasses.replace(best, iterations=passes, converged=False)
+
+
+def replay(plant, variant, reference, steps, init, w, box=None, pjm_seed=None):
+    """simulate rebuilt from the public per-step functions, windows and all."""
+    dims = plant.dims
+    k0 = init.k
+    depth_y = max(dims.Ly + 2, dims.ny + 3, k0 + 1)
+    depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
+    y_hist = [np.array(v, dtype=float) for v in init.y_history]
+    y_hist += [np.zeros(dims.My)] * (depth_y - len(y_hist))
+    u_hist = [np.array(v, dtype=float) for v in init.u_history]
+    u_hist += [np.zeros(dims.Mu)] * (depth_u - len(u_hist))
+    log = SimLog(dims=dims, variant=variant, weighting=w, box=box)
+    seed = pjm_seed if pjm_seed is not None else PseudoJacobian.constant(0.0, dims)
+    for k in range(1, k0):
+        u_k = u_hist[k0 - 1 - k]
+        log.records.append(SimRecord(k, y_hist[k0 - k], reference.sample(k), u_k, u_k - u_hist[k0 - k],
+                                     seed, 0.0, 0))
+    pjm = seed
+    for k in range(k0, steps + 1):
+        y_now = y_hist[0]
+        if np.max(np.abs(y_now)) > DIVERGENCE_LIMIT:
+            raise DivergenceError("diverged", step=k, log=log)
+        if k == steps:
+            log.records.append(SimRecord(k, y_now, reference.sample(k), u_hist[0], np.zeros(dims.Mu), pjm, 0.0, 0))
+            break
+        target = reference.sample(k + 1)
+        window = RegressorWindow(dims=dims, k=k, y_history=y_hist, u_history=u_hist)
+        if variant == "quartic":
+            decision = unhoisted_quartic(plant, window, y_now, target, w)
+        else:
+            point = RegressorWindow(dims=dims, k=k - 1, y_history=y_hist[1:], u_history=u_hist)
+            if variant == "constrained":
+                decision = mfac_constrained_step(pjm_first_order(plant, point), window, y_now, target, w, box)
+            else:
+                decision = mfac_step(pjm_first_order(plant, point), window, y_now, target, w)
+        pjm = decision.pjm
+        log.records.append(SimRecord(k, y_now, reference.sample(k), decision.u, decision.delta_u, pjm,
+                                     decision.cost, decision.iterations))
+        args = y_hist[: dims.ny + 1] + [decision.u] + u_hist[: dims.nu]
+        y_hist = [plant._checked_eval(args)] + y_hist[:-1]
+        u_hist = [decision.u] + u_hist[:-1]
+    return log
+
+
+def assert_same_log(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.records, want.records):
+        for f in dataclasses.fields(SimRecord):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "pjm":
+                assert (x.Ly, x.Lu) == (y.Ly, y.Lu)
+                x, y = x.flattened(), y.flattened()
+            assert np.array_equal(x, y), (a.k, f.name)
+    first, second = io.StringIO(), io.StringIO()
+    got.to_csv(first)
+    want.to_csv(second)
+    assert first.getvalue() == second.getvalue()
+
+
+def both_runs(*args, **kwargs):
+    return simulate(*args, **kwargs), replay(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_matches_public_law_replay_on_random_lti(seed):
+    rng = np.random.default_rng(seed)
+    My = 1 + seed % 3
+    Lu = 1 + (seed // 3) % 2
+    Mu = int(rng.integers(1, 4))
+    a_blocks = [0.3 * rng.normal(size=(My, My)) for _ in range(int(rng.integers(0, 3)))]
+    b_blocks = [np.eye(My, Mu) + 0.3 * rng.normal(size=(My, Mu)) for _ in range(Lu)]
+    plant = LTIPlant(a_blocks, b_blocks)
+    k0 = int(rng.integers(1, 4))
+    init = RegressorWindow(dims=plant.dims, k=k0, y_history=list(rng.normal(size=(k0, My))),
+                           u_history=list(rng.normal(size=(k0, Mu))))
+    w = Weighting(rng.uniform(0.05, 1.0, Mu))
+    box = BoxConstraints(lower=-np.ones(Mu), upper=np.ones(Mu))
+    for variant in VARIANTS:
+        got, want = both_runs(plant, variant, StepReference(My, 0.5), 40, init, w,
+                              box=box if variant == "constrained" else None)
+        assert_same_log(got, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_simulate_matches_public_law_replay_on_bench_plant(variant):
+    plant = Example1Plant()
+    dims = plant.dims
+    init = RegressorWindow(dims=dims, k=3, y_history=[np.zeros(2)] * 3, u_history=[np.zeros(2)] * 2)
+    box = BoxConstraints(lower=np.array([-0.3, -0.5]), upper=np.array([0.1, 0.5]))
+    got, want = both_runs(plant, variant, Example1Reference(), 60, init, Weighting.uniform(0.2, 2),
+                          box=box if variant == "constrained" else None,
+                          pjm_seed=PseudoJacobian.constant(0.01, dims))
+    assert_same_log(got, want)
+
+
+def test_simulate_matches_public_law_replay_through_divergence():
+    a_blocks, b_blocks = TEST_LOOPS["mimo2"]
+    plant = LTIPlant([np.array(a_blocks)], [np.array(b_blocks)])
+    init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.zeros(2)], u_history=[np.zeros(2)])
+    errors = []
+    for run in (simulate, replay):
+        with pytest.raises(DivergenceError) as err:
+            run(plant, "first_order", RampReference(2), 600, init, Weighting.uniform(0.9, 2))
+        errors.append(err.value)
+    assert errors[0].step == errors[1].step
+    assert_same_log(errors[0].log, errors[1].log)
+
+
+class UnsampledReference(ReferenceSignal):
+    def sample(self, k):
+        raise AssertionError(f"reference sampled at step {k} before the arguments were checked")
+
+
+def test_simulate_checks_weighting_and_box_sizes_before_stepping():
+    plant = LTIPlant([0.5 * np.eye(2)], [np.eye(2)])
+    init = zero_window(plant.dims)
+    with pytest.raises(ShapeError):
+        simulate(plant, "first_order", UnsampledReference(), 10, init, Weighting.uniform(0.1, 3))
+    box = BoxConstraints(lower=-np.ones(3), upper=np.ones(3))
+    with pytest.raises(ShapeError):
+        simulate(plant, "constrained", UnsampledReference(), 10, init, Weighting.uniform(0.1, 2), box=box)
+
+
+def test_simulate_rejects_misshapen_reference_samples():
+    plant = LTIPlant([0.5 * np.eye(2)], [np.eye(2)])
+    with pytest.raises(ShapeError):
+        simulate(plant, "first_order", StepReference(3), 10, zero_window(plant.dims), Weighting.uniform(0.1, 2))
+
+
+# ------------------------------------------------------ batched evaluation
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lti_evaluate_batch_matches_rowwise_evaluate_bitwise(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(40):
+        My, Mu = (int(v) for v in rng.integers(1, 4, size=2))
+        ny = int(rng.integers(-1, 2))  # -1: static map with no output slots
+        plant = LTIPlant([rng.normal(size=(My, My)) for _ in range(ny + 1)],
+                         [rng.normal(size=(My, Mu)) for _ in range(int(rng.integers(1, 3)))])
+        sizes = [My] * (ny + 1) + [Mu] * (plant.dims.nu + 1)
+        B = int(rng.integers(1, 13))
+        stacked = rng.normal(size=(B, sum(sizes))) * 10.0 ** rng.uniform(-6, 3, size=(B, sum(sizes)))
+        bounds = np.cumsum([0] + sizes)
+        views = [stacked[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        for args in (views, [v.copy() for v in views]):
+            rows = np.array([plant.evaluate([a[b] for a in args]) for b in range(B)])
+            assert np.array_equal(plant.evaluate_batch(args), rows)
+
+
+class NaNAtOnePoint(DifferentiableModel):
+    """y(k+1) = 0.5 y(k) + u(k), except one output component is NaN where u1 = +FD_STEP."""
+
+    def __init__(self, component):
+        self.component = component
+
+    @property
+    def dims(self):
+        return Dimensions.preferred(My=2, Mu=2, ny=0, nu=0)
+
+    def evaluate(self, args):
+        y, u = args
+        out = 0.5 * y + u
+        if u[1] == FD_STEP:
+            out[self.component] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_simulate_flags_nonfinite_perturbed_point(component):
+    plant = NaNAtOnePoint(component)
+    with pytest.raises(NonFiniteModelError) as err:
+        simulate(plant, "first_order", ZeroReference(2), 10, zero_window(plant.dims), Weighting.uniform(0.1, 2))
+    assert err.value.arg_index == component
