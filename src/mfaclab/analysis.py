@@ -1,15 +1,17 @@
-"""Frozen-gain closed-loop analysis: characteristic matrix, roots, static errors.
+"""Frozen-gain closed-loop analysis: characteristic matrix, poles, static errors.
 
 With the pseudo-Jacobian held constant the loop formed by the one-step law is
 linear time-invariant.  Collect the output blocks into phi_y(q) = Phi_1 +
 Phi_2 q + ... + Phi_Ly q^(Ly-1) and the input blocks into phi_u(q) = Phi_{Ly+1}
 + ... + Phi_{Ly+Lu} q^(Lu-1), where q denotes the backward shift z^-1.  The
-characteristic matrix is
+characteristic matrix is the matrix polynomial
 
-    T(q) = (1 - q) L (I - q phi_y(q)) + phi_u(q) Phi_{Ly+1}^T
+    T(q) = (1 - q) L (I - q phi_y(q)) + phi_u(q) Phi_{Ly+1}^T = T_0 + T_1 q + ... + T_d q^d
 
-and the loop is stable exactly when every root z of det T (rewritten as a
-polynomial in z) lies strictly inside the unit circle.
+and the loop poles are the roots z of det(T_0 z^d + T_1 z^(d-1) + ... + T_d).
+They are the eigenvalues of the block-companion linearisation of T (Gohberg,
+Lancaster & Rodman, Matrix Polynomials, 1982).  The loop is stable exactly
+when every pole lies strictly inside the unit circle.
 """
 
 from __future__ import annotations
@@ -23,160 +25,35 @@ from .edlm import PseudoJacobian
 from .errors import DegenerateLoopError, ShapeError, SingularMatrixError, UnstableLoopError
 
 STABILITY_MARGIN = 1.0e-9
-
-
-class Poly:
-    """Real polynomial in the backward shift; coeffs[i] multiplies z^-i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        if c.ndim != 1:
-            raise ShapeError(f"coefficients must be a vector, got shape {c.shape}")
-        n = c.shape[0]
-        while n > 0 and c[n - 1] == 0.0:
-            n -= 1
-        c = c[:n].copy()
-        c.setflags(write=False)
-        self.coeffs = c
-
-    @classmethod
-    def constant(cls, value: float) -> "Poly":
-        return cls((float(value),))
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        c = np.zeros(n)
-        c[: self.coeffs.shape[0]] += self.coeffs
-        c[: other.coeffs.shape[0]] += other.coeffs
-        return Poly(c)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly(())
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def shifted(self, powers: int = 1) -> "Poly":
-        """Multiply by z^-powers."""
-        if self.is_zero:
-            return self
-        return Poly(np.concatenate([np.zeros(powers), self.coeffs]))
-
-    def __call__(self, w):
-        """Evaluate at a value of the backward shift w = z^-1."""
-        acc = 0.0 if not np.iscomplexobj(np.asarray(w)) else 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * w + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Rectangular matrix with Poly entries."""
-
-    entries: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self):
-        rows = []
-        width = None
-        for row in self.entries:
-            r = tuple(e if isinstance(e, Poly) else Poly.constant(e) for e in row)
-            if width is None:
-                width = len(r)
-            elif len(r) != width:
-                raise ShapeError("ragged rows in PolyMatrix")
-            rows.append(r)
-        if not rows or width == 0:
-            raise ShapeError("PolyMatrix must be non-empty")
-        object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def from_constant(cls, m: np.ndarray) -> "PolyMatrix":
-        m = np.atleast_2d(np.asarray(m, dtype=float))
-        return cls(tuple(tuple(Poly.constant(v) for v in row) for row in m))
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls.from_constant(np.eye(n))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return PolyMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = Poly(())
-                for m in range(self.cols):
-                    acc = acc + self.entries[r][m] * other.entries[m][c]
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(tuple(out))
-
-    def scaled(self, p: Poly) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(p * e for e in row) for row in self.entries))
-
-    def eval_at(self, w) -> np.ndarray:
-        return np.array([[e(w) for e in row] for row in self.entries])
-
-    def max_row_degrees(self) -> list[int]:
-        return [max((max(e.degree, 0) for e in row), default=0) for row in self.entries]
+# T_0 (and a shifted pencil) counts as singular at or above this condition number.
+SINGULAR_COND = 1.0e12
+# Shifts sigma tried for the pencil when T_0 is singular; the best-conditioned one is used.
+PENCIL_SHIFTS = (0.5, -0.75, 1.25, -1.5, 2.5)
+# Pencil eigenvalues 1/(z - sigma) at or below this share of the largest are poles at infinity.
+INFINITE_POLE_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Characteristic roots of the frozen loop and the verdict they imply."""
+    """Poles of the frozen loop and the verdict they imply.
+
+    characteristic_roots holds the n*d eigenvalues of the block-companion
+    matrix, zero poles included, when T_0 is nonsingular.  When T_0 is
+    singular only the finite poles are listed.
+    """
 
     characteristic_roots: tuple[complex, ...]
     stable: bool
     margin: float
 
 
-def closed_loop_matrix(pjm: PseudoJacobian, w: Weighting) -> PolyMatrix:
-    """Characteristic matrix T of the frozen one-step loop.
+def closed_loop_matrix(pjm: PseudoJacobian, w: Weighting) -> np.ndarray:
+    """Coefficient blocks T_0..T_d of the frozen loop's characteristic matrix.
 
-    Only square loops (Mu == My) are supported; the two terms of T cannot be
-    added otherwise.
+    Returns a float array of shape (d+1, n, n) whose block i multiplies q^i.
+    Trailing all-zero blocks are dropped, so d is the true degree of T.  Only
+    square loops (Mu == My) are supported; the two terms of T cannot be added
+    otherwise.
     """
     if pjm.Mu != pjm.My:
         raise ShapeError(
@@ -185,87 +62,59 @@ def closed_loop_matrix(pjm: PseudoJacobian, w: Weighting) -> PolyMatrix:
     if w.size != pjm.Mu:
         raise ShapeError(f"weighting has {w.size} entries, expected {pjm.Mu}")
     n = pjm.My
-    delta = Poly((1.0, -1.0))
-
-    # I - z^-1 phi_y(z^-1): entry polynomials start with the Kronecker delta.
-    inner = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            coeffs = [1.0 if r == c else 0.0]
-            coeffs += [-pjm.output_blocks[i][r, c] for i in range(pjm.Ly)]
-            row.append(Poly(coeffs))
-        inner.append(tuple(row))
-    damped = PolyMatrix(tuple(inner))
-    # Row r scales with the r-th weighting entry, then by (1 - z^-1).
-    damped = PolyMatrix(
-        tuple(
-            tuple((delta * w.entries[r]) * e for e in row)
-            for r, row in enumerate(damped.entries)
-        )
-    )
-
-    phi_u = PolyMatrix(
-        tuple(
-            tuple(Poly([pjm.input_blocks[j][r, c] for j in range(pjm.Lu)]) for c in range(pjm.Mu))
-            for r in range(n)
-        )
-    )
-    gain = phi_u @ PolyMatrix.from_constant(pjm.lead_input_block.T)
-    return damped + gain
+    T = np.zeros((max(pjm.Ly + 2, pjm.Lu), n, n))
+    # (1 - q) L Y(q) with Y(q) = I - Phi_1 q - ... - Phi_Ly q^Ly.
+    for k, Yk in enumerate([np.eye(n)] + [-b for b in pjm.output_blocks]):
+        LY = w.entries[:, None] * Yk
+        T[k] += LY
+        T[k + 1] -= LY
+    lead_t = pjm.lead_input_block.T
+    for j, b in enumerate(pjm.input_blocks):
+        T[j] += b @ lead_t
+    nonzero = np.flatnonzero(T.any(axis=(1, 2)))
+    return T[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def _cofactor_det(entries: tuple[tuple[Poly, ...], ...]) -> Poly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = Poly(())
-    for c in range(n):
-        pivot = entries[0][c]
-        if pivot.is_zero:
-            continue
-        minor = tuple(row[:c] + row[c + 1 :] for row in entries[1:])
-        term = pivot * _cofactor_det(minor)
-        acc = acc + (term if c % 2 == 0 else -term)
-    return acc
+def _poles(T: np.ndarray) -> np.ndarray:
+    """Finite roots z of det(T_0 z^d + ... + T_d) from the pencil z B - A.
 
-
-def _interpolated_det(pm: PolyMatrix) -> Poly:
-    bound = sum(pm.max_row_degrees())
-    n = bound + 1
-    points = np.exp(2j * np.pi * np.arange(n) / n)
-    values = np.array([np.linalg.det(pm.eval_at(p)) for p in points])
-    coeffs = np.fft.fft(values) / n
-    scale = max(np.max(np.abs(coeffs)), 1.0)
-    real = np.where(np.abs(coeffs.real) > 1.0e-12 * scale, coeffs.real, 0.0)
-    return Poly(real)
-
-
-def determinant(pm: PolyMatrix) -> Poly:
-    """Determinant of a square PolyMatrix.
-
-    Exact cofactor expansion up to 8x8; larger matrices go through numeric
-    evaluation at roots of unity and interpolation.
+    A has -[T_1 ... T_d] as its first block row and identity blocks below the
+    diagonal; B is the identity with T_0 as its first block.  For nonsingular
+    T_0 the poles are the eigenvalues of B^-1 A.  Otherwise (A - sigma B)^-1 B
+    has eigenvalue 1/(z - sigma) for each finite pole z and 0 for each pole at
+    infinity, and the zero ones are dropped.
     """
-    if pm.rows != pm.cols:
-        raise ShapeError(f"determinant needs a square matrix, got {pm.rows}x{pm.cols}")
-    if pm.rows <= 8:
-        return _cofactor_det(pm.entries)
-    return _interpolated_det(pm)
-
-
-def stability_check(pm: PolyMatrix) -> StabilityReport:
-    """Roots of det T rewritten in z, and whether all lie inside the circle.
-
-    det T is a polynomial c_0 + c_1 z^-1 + ... + c_d z^-d; multiplying by z^d
-    gives the characteristic polynomial whose roots are the loop poles.  A
-    root is accepted as stable only below 1 - STABILITY_MARGIN, so marginal
-    loops classify unstable.
-    """
-    det = determinant(pm)
-    if det.is_zero:
+    d, n = T.shape[0] - 1, T.shape[1]
+    singular = not np.linalg.cond(T[0]) < SINGULAR_COND
+    if d == 0:
+        if singular:
+            raise DegenerateLoopError("closed-loop determinant vanishes identically")
+        return np.zeros(0, dtype=complex)
+    A = np.eye(d * n, k=-n)
+    A[:n] = -np.concatenate(T[1:], axis=1)
+    if not singular:
+        A[:n] = np.linalg.solve(T[0], A[:n])
+        return np.linalg.eigvals(A)
+    B = np.eye(d * n)
+    B[:n, :n] = T[0]
+    conds = [np.linalg.cond(A - s * B) for s in PENCIL_SHIFTS]
+    best = int(np.argmin(conds))
+    if not conds[best] < SINGULAR_COND:
         raise DegenerateLoopError("closed-loop determinant vanishes identically")
-    roots = np.roots(det.coeffs) if det.degree >= 1 else np.zeros(0, dtype=complex)
+    sigma = PENCIL_SHIFTS[best]
+    mu = np.linalg.eigvals(np.linalg.solve(A - sigma * B, B))
+    finite = mu[np.abs(mu) > INFINITE_POLE_TOL * np.max(np.abs(mu))]
+    return sigma + 1.0 / finite
+
+
+def stability_check(T: np.ndarray) -> StabilityReport:
+    """Poles of the characteristic blocks T, and whether all lie inside the circle.
+
+    A pole is accepted as stable only below 1 - STABILITY_MARGIN, so marginal
+    loops classify unstable.  Raises DegenerateLoopError when det T vanishes
+    identically.
+    """
+    roots = _poles(np.asarray(T, dtype=float))
     if roots.size == 0:
         return StabilityReport(characteristic_roots=(), stable=True, margin=1.0)
     largest = float(np.max(np.abs(roots)))
@@ -283,7 +132,7 @@ def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.
         raise UnstableLoopError(
             f"static error is undefined for an unstable loop (margin {report.margin:.3e})"
         )
-    T1 = T.eval_at(1.0).real
+    T1 = T.sum(axis=0)
     cond = np.linalg.cond(T1)
     if not np.isfinite(cond) or cond > 1.0e12:
         raise SingularMatrixError("characteristic matrix is singular at z = 1")

@@ -123,7 +123,9 @@ def lambda_schedule(cond: float, size: int = 1) -> Weighting:
     return Weighting.uniform(value, size)
 
 
-def _condition_number(m: np.ndarray) -> float:
+def condition_number(m: np.ndarray) -> float:
+    """Ratio of extreme singular values; infinite for rank-deficient input."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[-1] < 1.0e-300:
         return float("inf")
@@ -150,7 +152,7 @@ def _decision(step: _Step, pjm: PseudoJacobian | None = None) -> ControlDecision
         u=step.u,
         cost=step.cost,
         iterations=step.iterations,
-        condition_number=_condition_number(pjm.lead_input_block),
+        condition_number=condition_number(pjm.lead_input_block),
         converged=step.converged,
         pjm=pjm,
     )
@@ -446,7 +448,7 @@ def iterative_mfac_step(
             break
         point = RegressorWindow(dims=dims, k=k - 1, y_history=ys[1:], u_history=us)
         pjm = pjm_first_order(model, point)
-        cond = _condition_number(pjm.lead_input_block)
+        cond = condition_number(pjm.lead_input_block)
         worst_cond = max(worst_cond, cond) if np.isfinite(cond) else float("inf")
         virt = RegressorWindow(dims=dims, k=k, y_history=ys, u_history=us)
         step = mfac_step(pjm, virt, ys[0], y_ref, schedule(cond, dims.Mu))

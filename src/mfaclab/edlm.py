@@ -73,7 +73,7 @@ class Dimensions:
 def _as_vectors(history, size: int, label: str) -> tuple[np.ndarray, ...]:
     out = []
     for i, v in enumerate(history):
-        a = np.atleast_1d(np.asarray(v, dtype=float))
+        a = np.array(v, dtype=float, ndmin=1)
         if a.shape != (size,):
             raise ShapeError(f"{label}[{i}] has shape {a.shape}, expected ({size},)")
         a.setflags(write=False)

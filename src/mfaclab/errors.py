@@ -6,7 +6,12 @@ class ShapeError(ValueError):
 
 
 class NonFiniteModelError(ValueError):
-    """A model evaluation produced NaN or infinity."""
+    """A model evaluation produced NaN or infinity.
+
+    arg_index is the index of the first non-finite component of the model
+    output, not an argument slot.  For a batched evaluation it is taken from
+    the first evaluation point that has a non-finite output.
+    """
 
     def __init__(self, message: str, arg_index: int | None = None):
         super().__init__(message)

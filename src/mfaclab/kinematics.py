@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import lambda_schedule
+from .controller import condition_number, lambda_schedule
 from .errors import InvalidRotationError, ShapeError
 
 JACOBIAN_STEP = 1.0e-6
@@ -258,15 +258,6 @@ def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
         return axis * theta
     axis = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
     return axis * (theta / (2.0 * math.sin(theta)))
-
-
-def condition_number(m: np.ndarray) -> float:
-    """Ratio of extreme singular values; infinite for rank-deficient input."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[-1] < 1.0e-300:
-        return float("inf")
-    return float(s[0] / s[-1])
 
 
 def task_jacobian(chain: KinematicChain, q: Sequence[float]) -> np.ndarray:

@@ -5,10 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfaclab.analysis import (
-    Poly,
-    PolyMatrix,
     closed_loop_matrix,
-    determinant,
     ramp_static_error,
     stability_check,
     step_static_error,
@@ -24,43 +21,19 @@ def scalar_pjm(b, a=None):
     return PseudoJacobian(out, (np.array([[b]]),))
 
 
-# ------------------------------------------------------------------- Poly
-
-
-def test_poly_trims_and_evaluates():
-    p = Poly([1.0, 2.0, 0.0, 0.0])
-    assert p.degree == 1
-    assert p(0.5) == 2.0  # 1 + 2*0.5
-    assert Poly([0.0, 0.0]).is_zero
-    q = Poly([0.0, 1.0])
-    prod = p * q
-    assert_allclose(prod.coeffs, [0.0, 1.0, 2.0])
-    assert_allclose((p + q).coeffs, [1.0, 3.0])
-    assert_allclose(p.shifted(2).coeffs, [0.0, 0.0, 1.0, 2.0])
-    z = complex(0.3, 0.4)
-    assert abs(p(z) - (1.0 + 2.0 * z)) < 1e-15
-
-
-def test_polymatrix_validation():
-    with pytest.raises(ShapeError):
-        PolyMatrix(((Poly([1.0]),), (Poly([1.0]), Poly([2.0]))))
-    with pytest.raises(ShapeError):
-        PolyMatrix(())
-
-
 # --------------------------------------------------- characteristic matrix
 
 
 def test_closed_loop_scalar_deadbeat_is_constant():
     T = closed_loop_matrix(scalar_pjm(b=1.7), Weighting(np.zeros(1)))
-    assert T.rows == T.cols == 1
-    assert_allclose(T.entries[0][0].coeffs, [1.7 * 1.7])
+    assert T.shape == (1, 1, 1)
+    assert_allclose(T[:, 0, 0], [1.7 * 1.7])
 
 
 def test_closed_loop_scalar_damped():
     # lam (1 - q) + b^2, coefficients ordered by powers of the shift
     T = closed_loop_matrix(scalar_pjm(b=2.0), Weighting(np.array([0.3])))
-    assert_allclose(T.entries[0][0].coeffs, [0.3 + 4.0, -0.3])
+    assert_allclose(T[:, 0, 0], [0.3 + 4.0, -0.3])
 
 
 def test_closed_loop_scalar_with_output_window():
@@ -68,7 +41,7 @@ def test_closed_loop_scalar_with_output_window():
     lam, a, b = 0.5, 0.4, 1.2
     T = closed_loop_matrix(scalar_pjm(b=b, a=a), Weighting(np.array([lam])))
     assert_allclose(
-        T.entries[0][0].coeffs,
+        T[:, 0, 0],
         [lam + b * b, -lam * (1.0 + a), lam * a],
         atol=1e-15,
     )
@@ -80,37 +53,6 @@ def test_closed_loop_rejects_nonsquare_and_bad_weighting():
         closed_loop_matrix(wide, Weighting(np.zeros(2)))
     with pytest.raises(ShapeError):
         closed_loop_matrix(scalar_pjm(b=1.0), Weighting(np.zeros(2)))
-
-
-# ------------------------------------------------------------- determinant
-
-
-def test_determinant_trivial_cases():
-    single = PolyMatrix(((Poly([2.0, -1.0]),),))
-    assert_allclose(determinant(single).coeffs, [2.0, -1.0])
-    assert_allclose(determinant(PolyMatrix.identity(2)).coeffs, [1.0])
-
-
-def test_determinant_matches_pointwise_oracle():
-    # Oracle: evaluate the matrix entrywise at sample points and take the
-    # numeric determinant there; the symbolic result must agree.
-    rng = np.random.RandomState(41)
-    entries = tuple(
-        tuple(Poly(rng.randn(3)) for _ in range(3)) for _ in range(3)
-    )
-    pm = PolyMatrix(entries)
-    det = determinant(pm)
-    points = np.exp(2j * np.pi * np.arange(7) / 7.0) * 0.9
-    for w in points:
-        direct = np.linalg.det(pm.eval_at(w))
-        scale = max(1.0, abs(direct))
-        assert abs(det(w) - direct) / scale <= 1e-8
-
-
-def test_determinant_rejects_nonsquare():
-    pm = PolyMatrix(((Poly([1.0]), Poly([2.0])),))
-    with pytest.raises(ShapeError):
-        determinant(pm)
 
 
 # ---------------------------------------------------------------- stability
@@ -132,7 +74,7 @@ def test_stability_scalar_damped_root_one_sixth():
 
 
 def test_stability_root_outside_circle():
-    report = stability_check(PolyMatrix(((Poly([1.0, -2.0]),),)))
+    report = stability_check(np.array([[[1.0]], [[-2.0]]]))
     assert not report.stable
     assert_allclose(report.characteristic_roots[0], 2.0, rtol=1e-12)
     assert_allclose(report.margin, -1.0, atol=1e-12)
@@ -140,13 +82,120 @@ def test_stability_root_outside_circle():
 
 def test_stability_degenerate_determinant_raises():
     with pytest.raises(DegenerateLoopError):
-        stability_check(PolyMatrix.from_constant(np.zeros((2, 2))))
+        stability_check(np.zeros((1, 2, 2)))
 
 
 def test_marginal_loop_classified_unstable():
     # Root exactly on the circle.
-    report = stability_check(PolyMatrix(((Poly([1.0, -1.0]),),)))
+    report = stability_check(np.array([[[1.0]], [[-1.0]]]))
     assert not report.stable
+
+
+# ------------------------------------------------------------- pole solve
+
+SHAPES = [(My, Ly, Lu) for My in (1, 2, 3) for Ly in (0, 1, 2) for Lu in (1, 2)]
+
+
+def random_loops(seed, per_shape=4):
+    rng = np.random.default_rng(seed)
+    for My, Ly, Lu in SHAPES:
+        for _ in range(per_shape):
+            pjm = PseudoJacobian(
+                tuple(rng.normal(0.0, 0.5, (Ly, My, My))),
+                tuple(rng.normal(0.0, 1.0, (Lu, My, My))),
+            )
+            yield pjm, Weighting(rng.uniform(0.0, 1.0, My))
+
+
+def assert_singular_at(T, roots):
+    # sum_i T_i z^(d-i) must lose rank at every pole, relative to the size of
+    # its terms (a 1x1 matrix has only one singular value).
+    d = T.shape[0] - 1
+    for z in roots:
+        terms = [Ti * z ** (d - i) for i, Ti in enumerate(T)]
+        s = np.linalg.svd(sum(terms), compute_uv=False)
+        scale = sum(np.linalg.norm(t, 2) for t in terms)
+        assert s[-1] <= 1e-8 * scale, (z, s, scale)
+
+
+def test_roots_make_characteristic_matrix_singular():
+    # Oracle independent of the companion form: at every reported pole the
+    # characteristic matrix loses rank.
+    for pjm, w in random_loops(seed=7):
+        T = closed_loop_matrix(pjm, w)
+        assert_singular_at(T, stability_check(T).characteristic_roots)
+
+
+def test_nonsingular_lead_coefficient_gives_n_times_d_roots():
+    for pjm, w in random_loops(seed=8):
+        T = closed_loop_matrix(pjm, w)
+        assert np.linalg.cond(T[0]) < 1e8
+        d = T.shape[0] - 1
+        assert len(stability_check(T).characteristic_roots) == pjm.My * d
+
+
+def test_diagonal_loop_roots_are_union_of_scalar_loops():
+    a, b, lam = (0.4, -0.7), (1.3, 0.6), (0.5, 0.2)
+    pjm = PseudoJacobian((np.diag(a),), (np.diag(b),))
+    roots = stability_check(closed_loop_matrix(pjm, Weighting(np.array(lam)))).characteristic_roots
+    scalar = []
+    for ai, bi, li in zip(a, b, lam):
+        T = closed_loop_matrix(scalar_pjm(b=bi, a=ai), Weighting(np.array([li])))
+        scalar += stability_check(T).characteristic_roots
+    assert_allclose(np.sort_complex(roots), np.sort_complex(scalar), atol=1e-12)
+
+
+def singular_lead_pjm():
+    lead = np.array([[1.0, 0.0], [0.0, 0.0]])
+    second = np.array([[0.2, 0.1], [0.3, 0.5]])
+    output = np.array([[0.3, 0.1], [0.0, 0.2]])
+    return PseudoJacobian((output,), (lead, second))
+
+
+def test_rank_deficient_lead_block():
+    # T_0 = L + lead lead^T is nonsingular here; det T in q is
+    # 0.4 (1 - q)(1 - 0.04 q^2), so the poles are 1, +-0.2 and a zero pole.
+    T = closed_loop_matrix(singular_lead_pjm(), Weighting(np.array([0.0, 0.4])))
+    report = stability_check(T)
+    assert not report.stable
+    assert_allclose(np.sort_complex(report.characteristic_roots), [-0.2, 0.0, 0.2, 1.0], atol=1e-12)
+    assert_singular_at(T, report.characteristic_roots)
+
+
+def test_singular_lead_coefficient_lists_finite_poles():
+    # T_0 = diag(1.4, 0) is singular; det T = 0.012 q^2 (1 - q), whose
+    # finite poles are 0 and 1.  The two poles at infinity are not listed.
+    T = closed_loop_matrix(singular_lead_pjm(), Weighting(np.array([0.4, 0.0])))
+    assert np.linalg.cond(T[0]) > 1e12
+    report = stability_check(T)
+    assert not report.stable
+    assert_allclose(np.sort_complex(report.characteristic_roots), [0.0, 1.0], atol=1e-12)
+
+
+def test_rounded_singular_lead_coefficient_drops_pole_at_infinity():
+    # det T(z) = (z - 0.2)(z - 0.3)(z + 0.3) with one pole at infinity.  The
+    # orthogonal change of basis keeps the poles but leaves T_0 singular only
+    # up to rounding, so the pole at infinity comes out as a tiny nonzero
+    # pencil eigenvalue that must not be listed as a huge finite pole.
+    T = np.array([[[1.0, 0.0], [0.0, 0.0]], [[-0.5, 0.0], [0.0, 1.0]], [[0.06, 0.0], [0.0, 0.3]]])
+    rng = np.random.default_rng(1)
+    P, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    report = stability_check(P @ T @ Q)
+    assert report.stable
+    assert_allclose(np.sort_complex(report.characteristic_roots), [-0.3, 0.2, 0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+@pytest.mark.parametrize("Lu", [1, 2])
+def test_zero_weighting_with_rank_deficient_lead_is_degenerate(lead, Lu):
+    # With L = 0 every block of T is a multiple of lead^T on the right, so
+    # T(q) shares the right null vector of lead^T and det T vanishes for all q.
+    # A zero lead zeroes every block, and so does Lu = 1 up to T_0 (d = 0); the
+    # rank-1 lead with Lu = 2 leaves d = 1 and every shifted pencil singular.
+    blocks = (np.array(lead), np.array([[0.2, 0.1], [0.3, 0.5]]))[:Lu]
+    with pytest.raises(DegenerateLoopError):
+        stability_check(closed_loop_matrix(PseudoJacobian((), blocks), Weighting(np.zeros(2))))
 
 
 # ------------------------------------------------------------ static errors

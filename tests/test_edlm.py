@@ -65,6 +65,17 @@ def test_window_validates_vector_sizes():
         window(dims, 1, [np.zeros(2)], [])
 
 
+def test_window_freezes_a_copy_of_the_callers_arrays():
+    dims = Dimensions(My=1, Mu=1, Ly=1, Lu=1)
+    a, u = np.zeros(1), np.zeros(1)
+    w = window(dims, 1, [a], [u])
+    a[0] = 1.0
+    u[0] = 2.0
+    assert w.y_history[0][0] == 0.0
+    assert w.u_history[0][0] == 0.0
+    assert not w.y_history[0].flags.writeable
+
+
 # ---------------------------------------------------------- delta regressor
 
 
