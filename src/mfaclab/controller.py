@@ -12,7 +12,7 @@ information set at step k: y_history[0] = y(k), u_history[0] = u(k-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .edlm import (
     _operating_args,
     _padded_blocks,
     _slot_hessians,
-    pjm_first_order,
 )
 from .errors import InfeasibleBoxError, RankDeficiencyError, ShapeError
 
@@ -33,7 +32,6 @@ QUARTIC_TOL = 1.0e-9
 QUARTIC_MAX_PASSES = 50
 SWEEP_TOL = 1.0e-10
 SWEEP_MAX = 500
-ITERATIVE_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
@@ -106,21 +104,22 @@ class ControlDecision:
     pjm: PseudoJacobian | None = None
 
 
+def _damping(cond: float) -> float:
+    """Damping value that lambda_schedule puts on every entry."""
+    if not np.isfinite(cond) or cond >= 20000.0:
+        return 0.1
+    if cond >= 5000.0:
+        return 0.05
+    return 0.0
+
+
 def lambda_schedule(cond: float, size: int = 1) -> Weighting:
     """Damping stepped up with the conditioning of the lead block.
 
     cond < 5000 -> 0; 5000 <= cond < 20000 -> 0.05; cond >= 20000 or
     non-finite -> 0.1.  Boundary values take the larger damping.
     """
-    if not np.isfinite(cond):
-        value = 0.1
-    elif cond >= 20000.0:
-        value = 0.1
-    elif cond >= 5000.0:
-        value = 0.05
-    else:
-        value = 0.0
-    return Weighting.uniform(value, size)
+    return Weighting.uniform(_damping(cond), size)
 
 
 def condition_number(m: np.ndarray) -> float:
@@ -304,7 +303,7 @@ def _box_step(
         u=u,
         cost=_cost(phi_u, entries, residual, x),
         iterations=sweeps,
-        converged=True,
+        converged=biggest < SWEEP_TOL,
         output_blocks=output_blocks,
         input_blocks=input_blocks,
     )
@@ -404,69 +403,3 @@ def mfac_quartic_step(
     y_now, y_ref = _check_controller_args((md.My, md.Mu, md.Ly, md.Lu), window, y_now, y_ref, w)
     step = _quartic_step(model, args, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix)
     return _decision(step)
-
-
-def iterative_mfac_step(
-    model: DifferentiableModel,
-    window: RegressorWindow,
-    y_now: np.ndarray,
-    y_ref: np.ndarray,
-    schedule: Callable[[float, int], Weighting] = lambda_schedule,
-    max_iter: int = 30,
-) -> ControlDecision:
-    """Inner-loop refinement toward a fixed target using the true model.
-
-    Each pass linearizes at the current virtual history, applies the damped
-    one-step law with conditioning-scheduled weighting, and advances a virtual
-    copy of the plant.  Stops when the virtual output matches y_ref to
-    ITERATIVE_TOL in the max norm; hitting max_iter flags non-convergence.
-    """
-    dims = model.dims
-    if dims.ny is None or dims.nu is None:
-        raise ValueError("model orders ny, nu must be declared for the iterative law")
-    y_now = np.atleast_1d(np.asarray(y_now, dtype=float))
-    y_ref = np.atleast_1d(np.asarray(y_ref, dtype=float))
-    ys = [y_now] + [v for v in window.y_history[1:]]
-    us = [v for v in window.u_history]
-    u_start = us[0]
-    depth_y = max(dims.Ly + 1, dims.ny + 2, 2)
-    depth_u = max(dims.Lu + 1, dims.nu + 2, 2)
-    while len(ys) < depth_y:
-        ys.append(np.zeros(dims.My))
-    while len(us) < depth_u:
-        us.append(np.zeros(dims.Mu))
-
-    worst_cond = 0.0
-    iterations = 0
-    converged = False
-    k = window.k
-    for i in range(max_iter + 1):
-        if np.max(np.abs(y_ref - ys[0])) < ITERATIVE_TOL:
-            converged = True
-            break
-        if i == max_iter:
-            break
-        point = RegressorWindow(dims=dims, k=k - 1, y_history=ys[1:], u_history=us)
-        pjm = pjm_first_order(model, point)
-        cond = condition_number(pjm.lead_input_block)
-        worst_cond = max(worst_cond, cond) if np.isfinite(cond) else float("inf")
-        virt = RegressorWindow(dims=dims, k=k, y_history=ys, u_history=us)
-        step = mfac_step(pjm, virt, ys[0], y_ref, schedule(cond, dims.Mu))
-        u_new = step.u
-        args = [ys[s] for s in range(dims.ny + 1)] + [u_new] + [us[s] for s in range(dims.nu)]
-        y_new = model._checked_eval(args)
-        us = [u_new] + us[: depth_u - 1]
-        ys = [y_new] + ys[: depth_y - 1]
-        iterations = i + 1
-        k += 1
-
-    err = y_ref - ys[0]
-    delta_u = us[0] - u_start
-    return ControlDecision(
-        delta_u=delta_u,
-        u=us[0],
-        cost=float(err @ err),
-        iterations=iterations,
-        condition_number=worst_cond,
-        converged=converged,
-    )

@@ -17,10 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import condition_number, lambda_schedule
+from .controller import _damping, condition_number
 from .errors import InvalidRotationError, ShapeError
 
-JACOBIAN_STEP = 1.0e-6
 POSITION_TOL = 1.0e-3  # mm
 ORIENTATION_TOL = 1.0e-6  # rad
 DEFAULT_ITERATION_CAP = 30
@@ -149,27 +148,24 @@ class IKResult:
     orientation_error: float
 
 
-def _chain_transforms(chain: KinematicChain, q: Sequence[float]) -> list[np.ndarray]:
-    q = np.asarray(q, dtype=float)
+def _chain_frames(chain: KinematicChain, q: np.ndarray) -> list[np.ndarray]:
+    """One chain pass: frames[0] = I and frames[i + 1] = frames[i] @ (link i)."""
     if q.shape != (chain.joint_count,):
         raise ShapeError(f"expected {chain.joint_count} joint angles, got shape {q.shape}")
-    mats = []
+    frames = [np.eye(4)]
     idx = 0
     for row in chain.rows:
         if row.revolute:
-            mats.append(row.transform(q[idx]))
+            frames.append(frames[-1] @ row.transform(q[idx]))
             idx += 1
         else:
-            mats.append(row.transform())
-    return mats
+            frames.append(frames[-1] @ row.transform())
+    return frames
 
 
 def forward_kinematics(chain: KinematicChain, q: Sequence[float]) -> Pose:
     """Tool pose in the base frame for the given joint angles."""
-    T = np.eye(4)
-    for m in _chain_transforms(chain, q):
-        T = T @ m
-    return Pose.from_homogeneous(T)
+    return Pose.from_homogeneous(_chain_frames(chain, np.asarray(q, dtype=float))[-1])
 
 
 def rotation_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -236,14 +232,13 @@ def task_to_pose(task: TaskVector) -> Pose:
     return Pose(rotation=rotation_from_euler(*task.angles), position=task.position)
 
 
-def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Rotation from current to desired as an axis-times-angle 3-vector.
+def _angle_axis(D: np.ndarray) -> np.ndarray:
+    """Axis-times-angle 3-vector of the rotation D (already validated).
 
-    Reads the angle from the trace of D = desired @ current^T and the axis
-    from the skew part.  Near a half-turn the skew part degenerates, so the
-    axis is recovered from the dominant column of D + I instead.
+    Reads the angle from the trace of D and the axis from the skew part.
+    Near a half-turn the skew part degenerates, so the axis is recovered from
+    the dominant column of D + I instead.
     """
-    D = _require_rotation(desired) @ _require_rotation(current).T
     c = (np.trace(D) - 1.0) / 2.0
     c = min(1.0, max(-1.0, c))
     theta = math.acos(c)
@@ -260,31 +255,64 @@ def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
     return axis * (theta / (2.0 * math.sin(theta)))
 
 
-def task_jacobian(chain: KinematicChain, q: Sequence[float]) -> np.ndarray:
-    """Numeric 6xN task Jacobian: position rows by central differences,
-    orientation rows from the one-sided rotation increment over the step."""
-    q = np.asarray(q, dtype=float)
-    mats = _chain_transforms(chain, q)
-    n_rows = len(mats)
-    prefix = [np.eye(4)]
-    for m in mats:
-        prefix.append(prefix[-1] @ m)
-    suffix = [np.eye(4)]
-    for m in mats[::-1]:
-        suffix.append(m @ suffix[-1])
-    suffix = suffix[::-1]
-    base_rot = prefix[-1][:3, :3]
+def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Rotation from current to desired as an axis-times-angle 3-vector.
 
-    joint_rows = [i for i, r in enumerate(chain.rows) if r.revolute]
-    J = np.empty((6, len(joint_rows)))
-    h = JACOBIAN_STEP
-    for j, ri in enumerate(joint_rows):
-        row = chain.rows[ri]
-        hi = prefix[ri] @ row.transform(q[j] + h) @ suffix[ri + 1]
-        lo = prefix[ri] @ row.transform(q[j] - h) @ suffix[ri + 1]
-        J[:3, j] = (hi[:3, 3] - lo[:3, 3]) / (2.0 * h)
-        J[3:, j] = angle_axis_error(hi[:3, :3], base_rot) / h
+    Both arguments must be proper rotations; the vector is that of
+    D = desired @ current^T.
+    """
+    return _angle_axis(_require_rotation(desired) @ _require_rotation(current).T)
+
+
+def _task_error(tool: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """[position error; orientation error] from the tool transform to a validated target."""
+    current = _require_rotation(tool[:3, :3])
+    return np.concatenate([position - tool[:3, 3], _angle_axis(rotation @ current.T)])
+
+
+def _jacobian(chain: KinematicChain, frames: list[np.ndarray]) -> np.ndarray:
+    """Geometric Jacobian from one chain pass: column j is [z_j x (p_e - p_j); z_j].
+
+    z_j and p_j are the z axis and origin of the frame that revolute row ri
+    ends in (frames[ri + 1]), since that row turns about its own z axis.
+    """
+    joints = np.array([frames[ri + 1] for ri, row in enumerate(chain.rows) if row.revolute])
+    z = joints[:, :3, 2]
+    r = frames[-1][:3, 3] - joints[:, :3, 3]
+    J = np.empty((6, len(joints)))
+    # the cross products of all columns at once; np.cross costs more than the
+    # arithmetic at this size
+    J[0] = z[:, 1] * r[:, 2] - z[:, 2] * r[:, 1]
+    J[1] = z[:, 2] * r[:, 0] - z[:, 0] * r[:, 2]
+    J[2] = z[:, 0] * r[:, 1] - z[:, 1] * r[:, 0]
+    J[3:] = z.T
     return J
+
+
+def pose_and_jacobian(chain: KinematicChain, q: Sequence[float]) -> tuple[Pose, np.ndarray]:
+    """Tool pose and task Jacobian at q from a single chain pass."""
+    frames = _chain_frames(chain, np.asarray(q, dtype=float))
+    return Pose.from_homogeneous(frames[-1]), _jacobian(chain, frames)
+
+
+def task_jacobian(chain: KinematicChain, q: Sequence[float]) -> np.ndarray:
+    """Closed-form 6xN task Jacobian: linear velocity of the tool origin over
+    angular velocity in the base frame, per unit joint rate.
+
+    Column j is [z_j x (p_e - p_j); z_j] with z_j, p_j the axis and origin of
+    joint j and p_e the tool origin (the geometric Jacobian).
+    """
+    return _jacobian(chain, _chain_frames(chain, np.asarray(q, dtype=float)))
+
+
+def _damped_step(J: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Damped least-squares increment, the condition number and the damping used."""
+    cond = condition_number(J)
+    lam = _damping(cond)
+    delta_q = np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), J.T @ e)
+    if not np.all(np.isfinite(delta_q)):
+        raise ArithmeticError("inverse-kinematics solve produced non-finite increments")
+    return delta_q, cond, lam
 
 
 def ik_step(chain: KinematicChain, q: Sequence[float], target: Pose) -> tuple[np.ndarray, float]:
@@ -293,17 +321,9 @@ def ik_step(chain: KinematicChain, q: Sequence[float], target: Pose) -> tuple[np
     Returns the joint increment and the Jacobian condition number the damping
     was scheduled from.  Raises on a non-finite solve.
     """
-    q = np.asarray(q, dtype=float)
-    pose = forward_kinematics(chain, q)
-    e = np.concatenate(
-        [target.position - pose.position, angle_axis_error(target.rotation, pose.rotation)]
-    )
-    J = task_jacobian(chain, q)
-    cond = condition_number(J)
-    lam = lambda_schedule(cond, size=J.shape[1])
-    delta_q = np.linalg.solve(J.T @ J + lam.matrix, J.T @ e)
-    if not np.all(np.isfinite(delta_q)):
-        raise ArithmeticError("inverse-kinematics solve produced non-finite increments")
+    frames = _chain_frames(chain, np.asarray(q, dtype=float))
+    e = _task_error(frames[-1], _require_rotation(target.rotation), target.position)
+    delta_q, cond, _ = _damped_step(_jacobian(chain, frames), e)
     return delta_q, cond
 
 
@@ -317,11 +337,15 @@ def ik_solve(
 ) -> IKResult:
     """Iterate damped least-squares steps until the pose error is inside tolerance.
 
+    Each iteration makes one chain pass; the convergence check, the task error
+    and the closed-form Jacobian of the step all come from it, so a solve makes
+    iterations + 1 passes.  The target rotation is validated once.
     Convergence is checked before each step, so a seed already at the target
     reports zero iterations.  Hitting the iteration cap returns the last
     iterate flagged non-converged rather than raising.
     """
     q = np.asarray(q_seed, dtype=float).copy()
+    rotation = _require_rotation(target.rotation)
     lam_trace: list[float] = []
     worst = 0.0
     iterations = 0
@@ -329,17 +353,18 @@ def ik_solve(
     pos_err = math.inf
     ori_err = math.inf
     for _ in range(cap + 1):
-        pose = forward_kinematics(chain, q)
-        pos_err = float(np.linalg.norm(target.position - pose.position))
-        ori_err = float(np.linalg.norm(angle_axis_error(target.rotation, pose.rotation)))
+        frames = _chain_frames(chain, q)
+        e = _task_error(frames[-1], rotation, target.position)
+        pos_err = float(np.linalg.norm(e[:3]))
+        ori_err = float(np.linalg.norm(e[3:]))
         if pos_err < position_tol and ori_err < orientation_tol:
             converged = True
             break
         if iterations == cap:
             break
-        delta_q, cond = ik_step(chain, q, target)
+        delta_q, cond, lam = _damped_step(_jacobian(chain, frames), e)
         q = q + delta_q
-        lam_trace.append(float(lambda_schedule(cond).entries[0]))
+        lam_trace.append(lam)
         worst = max(worst, cond) if math.isfinite(cond) else math.inf
         iterations += 1
     return IKResult(

@@ -182,12 +182,30 @@ def test_example2_subpath_run(tmp_path):
     summary = read_summary(out / "example2_summary.csv")[0]
     assert summary["samples"] == "21"
     assert summary["all_converged"] == "1"
+    converged = header.index("converged")
+    assert int(summary["cap_hits"]) == sum(row[converged] == "0" for row in data) == 0
     assert int(summary["max_iterations"]) <= 30
     assert float(summary["max_condition"]) < 5000  # interior of the traverse
     assert float(summary["max_pos_err"]) < 1e-3
     for name in ("example2_pose.svg", "example2_errors.svg", "example2_joints.svg",
                  "example2_condition.svg", "example2_solver.svg"):
         assert (out / name).is_file()
+
+
+def test_example2_summary_counts_cap_hits(tmp_path):
+    # a sub-path across the first singular frame, where some samples hit the cap
+    out = tmp_path / "run"
+    conf = write_config(
+        tmp_path,
+        "id = example2\ntf = 0.4\nt0 = 0.02\nstart_fraction = 0.45\ngoal_fraction = 0.55\n",
+    )
+    assert main(["example2", "--config", conf, "--out", str(out)]) == 0
+    header, data = read_csv(out / "example2_tracking.csv")
+    capped = sum(row[header.index("converged")] == "0" for row in data)
+    summary = read_summary(out / "example2_summary.csv")[0]
+    assert int(summary["cap_hits"]) == capped > 0
+    assert summary["all_converged"] == "0"
+    assert list(summary)[-1] == "cap_hits"
 
 
 # --------------------------------------------------------- sweep/stability
@@ -261,6 +279,13 @@ def test_svg_charts_are_well_formed(tmp_path):
         assert "polyline" in body  # at least one plotted series
 
 
+def package_env():
+    """The environment with the imported package's source root on PYTHONPATH,
+    so a child interpreter finds the same mfaclab as this one."""
+    src = str(Path(mfaclab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_entrypoint(tmp_path):
     # the installed script and `main` share the same wiring
     proc = subprocess.run(
@@ -269,20 +294,19 @@ def test_console_script_entrypoint(tmp_path):
          "stability", "--lambda", "0.3", "--out", str(tmp_path / "s")],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s" / "stability_scalar.csv").is_file()
 
 
 def test_module_entrypoint_runs_without_warnings():
     # importing the package must not import mfaclab.cli ahead of `-m`
-    src = str(Path(mfaclab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "mfaclab.cli", "--help"],
         capture_output=True,
         text=True,
-        env=env,
+        env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mfaclab import kinematics
 from mfaclab.errors import InvalidRotationError, ShapeError
 from mfaclab.kinematics import (
     DHRow,
@@ -20,6 +21,7 @@ from mfaclab.kinematics import (
     ik_solve,
     ik_step,
     parse_chain,
+    pose_and_jacobian,
     pose_to_task,
     rotation_from_euler,
     task_jacobian,
@@ -304,6 +306,42 @@ def test_task_jacobian_matches_finite_differences():
         np.testing.assert_allclose(J, fd, rtol=1e-3, atol=1e-3)
 
 
+def central_difference_jacobian(chain, q, h):
+    # position by central differences of FK; orientation from the rotation
+    # between the two perturbed poses, which spans 2h about the joint axis
+    fd = np.empty((6, q.size))
+    for j in range(q.size):
+        dq = np.zeros(q.size)
+        dq[j] = h
+        hi = forward_kinematics(chain, q + dq)
+        lo = forward_kinematics(chain, q - dq)
+        fd[:3, j] = (hi.position - lo.position) / (2.0 * h)
+        fd[3:, j] = angle_axis_error(hi.rotation, lo.rotation) / (2.0 * h)
+    return fd
+
+
+def test_task_jacobian_tight_against_central_differences():
+    chain = default_arm()
+    rng = np.random.default_rng(41)
+    postures = [rng.uniform(-math.pi, math.pi, size=6) for _ in range(6)]
+    # within 1e-3 of the wrist singularity, on both of its branches
+    for wrist in (0.0, -math.pi):
+        for _ in range(3):
+            q = rng.uniform(-math.pi, math.pi, size=6)
+            q[4] = wrist + rng.uniform(-1e-3, 1e-3)
+            postures.append(q)
+    for q in postures:
+        J = task_jacobian(chain, q)
+        fd = central_difference_jacobian(chain, q, 1e-5)
+        for rows in (slice(0, 3), slice(3, 6)):
+            scale = np.max(np.abs(J[rows]))
+            assert np.max(np.abs(J[rows] - fd[rows])) <= 1e-6 * scale
+        # the one-pass variant gives the same bits as the two separate calls
+        pose, J_pass = pose_and_jacobian(chain, q)
+        np.testing.assert_array_equal(J_pass, J)
+        np.testing.assert_array_equal(pose.homogeneous(), forward_kinematics(chain, q).homogeneous())
+
+
 def test_task_jacobian_first_joint_spins_base_axis():
     # joint 1 rotates about the base z axis regardless of posture
     chain = default_arm()
@@ -408,18 +446,20 @@ def test_ik_solve_easy_target():
     np.testing.assert_allclose(pose.position, target.position, atol=1e-3)
 
 
+FOLDED_SEED = np.array(
+    [-1.5707902265003184, 1.942551766019015, -0.3674167420261763,
+     0.005143034832864366, -3.145931271944243, -3.1364495885139685]
+)
+
+
 def test_ik_solve_caps_on_folded_branch():
     # seed taken from the traverse one sample before the goal: the iterate is
     # pinned on the flipped-wrist branch where the orientation error stalls
     # just above tolerance, so the solve must stop at the cap, report
     # converged=False, and still keep the pose error tiny
     chain = default_arm()
-    seed = np.array(
-        [-1.5707902265003184, 1.942551766019015, -0.3674167420261763,
-         0.005143034832864366, -3.145931271944243, -3.1364495885139685]
-    )
     target = task_to_pose(pose_to_task(forward_kinematics(chain, GOAL)))
-    res = ik_solve(chain, seed, target)
+    res = ik_solve(chain, FOLDED_SEED, target)
     assert res.iterations == 30
     assert not res.converged
     assert set(res.lambda_trace) == {0.1}
@@ -441,6 +481,40 @@ def test_ik_solve_invariants():
         if res.converged:
             assert res.position_error < 1e-3
             assert res.orientation_error < 1e-6
+
+
+def test_ik_solve_makes_one_chain_pass_per_iteration(monkeypatch):
+    chain = default_arm()
+    passes = []
+    original = kinematics._chain_frames
+
+    def counted(*args):
+        passes.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kinematics, "_chain_frames", counted)
+    seeds_and_targets = [
+        (HOME, forward_kinematics(chain, HOME)),  # zero iterations
+        (HOME, forward_kinematics(chain, HOME + 0.05)),  # converges
+        (FOLDED_SEED, task_to_pose(pose_to_task(forward_kinematics(chain, GOAL)))),  # caps
+    ]
+    for seed, target in seeds_and_targets:
+        passes.clear()
+        res = ik_solve(chain, seed, target)
+        assert len(passes) == res.iterations + 1
+    assert res.iterations == 30 and not res.converged
+    target = forward_kinematics(chain, GOAL)
+    passes.clear()
+    ik_step(chain, HOME, target)
+    assert len(passes) == 1
+
+
+def test_ik_solve_rejects_improper_target():
+    flipped = Pose(rotation=np.diag([1.0, 1.0, -1.0]), position=np.zeros(3))
+    with pytest.raises(InvalidRotationError):
+        ik_solve(default_arm(), HOME, flipped)
+    with pytest.raises(InvalidRotationError):
+        ik_step(default_arm(), HOME, flipped)
 
 
 # ----------------------------------------------------------- table parsing
