@@ -125,7 +125,7 @@ def stability_check(T: np.ndarray) -> StabilityReport:
     )
 
 
-def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.ndarray]:
     T = closed_loop_matrix(pjm, w)
     report = stability_check(T)
     if not report.stable:
@@ -137,8 +137,7 @@ def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.
     if not np.isfinite(cond) or cond > 1.0e12:
         raise SingularMatrixError("characteristic matrix is singular at z = 1")
     phi_y1 = sum(pjm.output_blocks, start=np.zeros((pjm.My, pjm.My)))
-    phi_u1 = sum(pjm.input_blocks, start=np.zeros((pjm.My, pjm.Mu)))
-    return T1, phi_y1, phi_u1
+    return T1, phi_y1
 
 
 def ramp_static_error(pjm: PseudoJacobian, w: Weighting, Ts: float) -> np.ndarray:
@@ -149,18 +148,19 @@ def ramp_static_error(pjm: PseudoJacobian, w: Weighting, Ts: float) -> np.ndarra
     """
     if Ts <= 0.0:
         raise ValueError(f"sample time must be positive, got {Ts}")
-    T1, phi_y1, _ = _static_matrices(pjm, w)
+    T1, phi_y1 = _static_matrices(pjm, w)
     ones = np.ones(pjm.My)
     rhs = w.matrix @ ((np.eye(pjm.My) - phi_y1) @ ones)
     return np.linalg.solve(T1, rhs) * Ts
 
 
 def step_static_error(pjm: PseudoJacobian, w: Weighting) -> np.ndarray:
-    """Steady tracking error under a unit step on every output.
+    """Steady tracking error under a unit step on every output: exactly zero.
 
-    Evaluates (I - T(1)^-1 phi_u(1) Phi_{Ly+1}^T) 1, which cancels exactly:
-    the incremental law integrates, so any stable loop has zero step error.
+    It is (I - T(1)^-1 phi_u(1) Phi_{Ly+1}^T) 1, where T(1) = phi_u(1)
+    Phi_{Ly+1}^T because the (1 - q) factor vanishes at q = 1: the
+    incremental law integrates.  The loop must still be stable with T(1)
+    nonsingular, as for the ramp error.
     """
-    T1, _, phi_u1 = _static_matrices(pjm, w)
-    ones = np.ones(pjm.My)
-    return ones - np.linalg.solve(T1, phi_u1 @ (pjm.lead_input_block.T @ ones))
+    _static_matrices(pjm, w)
+    return np.zeros(pjm.My)

@@ -7,8 +7,8 @@ Subcommands
     sweep      lambda grid with analytic and simulated ramp errors on a test loop
     stability  analytic-only lambda grid (characteristic roots and ramp errors)
 
-Each run writes schema-versioned CSV files plus SVG line charts rendered back
-from those CSVs, under --out, the config's out key, $MFACLAB_OUT, or
+Each run writes schema-versioned CSV files plus SVG line charts drawn from
+the same rows, under --out, the config's out key, $MFACLAB_OUT, or
 ./mfaclab-runs, in that order of preference.  Reruns with the same settings
 are byte-identical.  Exit codes: 0 success, 2 divergence, 3 bad config.
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,9 +56,9 @@ from .plant import (
     Example1Reference,
     LTIPlant,
     RampReference,
-    SimLog,
     metrics,
     simulate,
+    write_csv,
 )
 
 SUMMARY_SCHEMA = "mfaclab.summary.v1"
@@ -114,22 +113,6 @@ class ExperimentConfig:
     goal_fraction: float
 
 
-_VERB_TO_ID = {
-    "example1": "example1",
-    "example2": "example2",
-    "sweep": "lambda-sweep",
-    "stability": "stability",
-}
-
-_COMMON_KEYS = {"id", "out", "seed"}
-_ALLOWED_KEYS = {
-    "example1": _COMMON_KEYS | {"variant", "lambda", "steps"},
-    "example2": _COMMON_KEYS | {"tf", "t0", "start_fraction", "goal_fraction"},
-    "lambda-sweep": _COMMON_KEYS | {"variant", "lambda", "steps"},
-    "stability": _COMMON_KEYS | {"variant", "lambda"},
-}
-
-
 def _parse_float(raw: str, key: str) -> float:
     try:
         value = float(raw)
@@ -168,8 +151,8 @@ def _load_config_file(path: Path) -> dict[str, str]:
 
 
 def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
-    experiment = _VERB_TO_ID[verb]
-    allowed = _ALLOWED_KEYS[experiment]
+    experiment = _SUBCOMMANDS[verb].experiment
+    allowed = _SUBCOMMANDS[verb].keys
 
     merged: dict[str, str] = {}
     if args.config is not None:
@@ -251,39 +234,15 @@ def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
 # --- CSV and SVG emission ---------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with path.open("w", newline="") as fh:
-        fh.write(f"# schema: {schema}\n")
-        # column names may embed commas (e.g. J[0,0]), so quote via csv
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(fh, schema, header, rows)
 
 
-def _read_columns(path: Path) -> dict[str, list[float]]:
-    """Reload a CSV as float columns; plots consume files, not live arrays."""
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
-    header = rows[0]
-    columns: dict[str, list[float]] = {name: [] for name in header}
-    for row in rows[1:]:
-        for name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            columns[name].append(value)
-    return columns
+def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict[str, list[float]]:
+    """Float columns of a table as written; every cell round-trips, so a chart
+    drawn from these matches one drawn from the file."""
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
 
 
 def _esc(text: str) -> str:
@@ -412,12 +371,6 @@ def _write_chart(path: Path, title: str, x_label: str, y_label: str, series) -> 
 # --- runners -----------------------------------------------------------------
 
 
-def _count_violations(log: SimLog) -> int:
-    if log.box is None:
-        return 0
-    return sum(0 if log.box.contains(r.u) else 1 for r in log.records)
-
-
 def run_example1(cfg: ExperimentConfig) -> int:
     plant = Example1Plant()
     dims = plant.dims
@@ -437,7 +390,7 @@ def run_example1(cfg: ExperimentConfig) -> int:
 
     status = 0
     summary_rows = []
-    written: list[tuple[str, Path]] = []
+    tables: list[tuple[str, dict[str, list[float]]]] = []
     for variant in variants:
         diverged_at = 0
         try:
@@ -456,10 +409,9 @@ def run_example1(cfg: ExperimentConfig) -> int:
             diverged_at = exc.step
             status = 2
             print(f"example1 {variant}: diverged at step {exc.step}", file=sys.stderr)
-        path = cfg.out / f"example1_{variant}.csv"
-        with path.open("w", newline="") as fh:
+        with (cfg.out / f"example1_{variant}.csv").open("w", newline="") as fh:
             log.to_csv(fh)
-        written.append((variant, path))
+        tables.append((variant, _columns(log.csv_header(), log.csv_rows())))
         if diverged_at:
             rmse = max_err = (math.nan, math.nan)
         else:
@@ -467,7 +419,7 @@ def run_example1(cfg: ExperimentConfig) -> int:
             rmse, max_err = report.rmse, report.max_abs_error
         summary_rows.append(
             [variant, cfg.steps, cfg.lam, cfg.seed, *rmse, *max_err,
-             _count_violations(log), diverged_at]
+             log.violations(), diverged_at]
         )
 
     _write_csv(
@@ -478,14 +430,13 @@ def run_example1(cfg: ExperimentConfig) -> int:
         summary_rows,
     )
 
-    first_cols = _read_columns(written[0][1])
+    first_cols = tables[0][1]
     out_series = [
         ("yref1", first_cols["k"], first_cols["yref1"]),
         ("yref2", first_cols["k"], first_cols["yref2"]),
     ]
     in_series = []
-    for variant, path in written:
-        cols = _read_columns(path)
+    for variant, cols in tables:
         out_series.append((f"y1 {variant}", cols["k"], cols["y1"]))
         out_series.append((f"y2 {variant}", cols["k"], cols["y2"]))
         in_series.append((f"u1 {variant}", cols["k"], cols["u1"]))
@@ -497,7 +448,7 @@ def run_example1(cfg: ExperimentConfig) -> int:
     _write_chart(cfg.out / "example1_inputs.svg",
                  "Bench inputs", "k", "u", in_series)
     _write_chart(cfg.out / "example1_pjm.svg",
-                 f"Linearization diagonal entries ({written[0][0]})", "k", "value", pjm_series)
+                 f"Linearization diagonal entries ({tables[0][0]})", "k", "value", pjm_series)
     return status
 
 
@@ -559,8 +510,7 @@ def run_example2(cfg: ExperimentConfig) -> int:
         cap_hits += not result.converged
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    track_path = cfg.out / "example2_tracking.csv"
-    _write_csv(track_path, TRACK_SCHEMA, header, rows)
+    _write_csv(cfg.out / "example2_tracking.csv", TRACK_SCHEMA, header, rows)
     _write_csv(
         cfg.out / "example2_summary.csv",
         SUMMARY_SCHEMA,
@@ -571,7 +521,7 @@ def run_example2(cfg: ExperimentConfig) -> int:
           max_pos, max_ori, max_iters, max_cond, int(cap_hits == 0), cap_hits]],
     )
 
-    cols = _read_columns(track_path)
+    cols = _columns(header, rows)
     ts = cols["t"]
     _write_chart(
         cfg.out / "example2_pose.svg", "Tool position vs reference", "t (s)", "mm",
@@ -610,8 +560,20 @@ def _test_loop(name: str) -> tuple[LTIPlant, PseudoJacobian]:
     return plant, pjm
 
 
-def _grid(cfg: ExperimentConfig) -> tuple[float, ...]:
-    return LAMBDA_GRID if cfg.lam is None else (cfg.lam,)
+def _analytic_grid(
+    cfg: ExperimentConfig, pjm: PseudoJacobian
+) -> Iterator[tuple[float, Weighting, bool, float, np.ndarray]]:
+    """Per lambda of the run's grid: lambda, its weighting, the frozen loop's
+    verdict, its largest root radius, and its ramp error (NaN when unstable)."""
+    for lam in LAMBDA_GRID if cfg.lam is None else (cfg.lam,):
+        w = Weighting.uniform(lam, pjm.My)
+        report = stability_check(closed_loop_matrix(pjm, w))
+        max_root = max((abs(r) for r in report.characteristic_roots), default=0.0)
+        if report.stable:
+            ess = ramp_static_error(pjm, w, Ts=1.0)
+        else:
+            ess = np.full(pjm.My, math.nan)
+        yield lam, w, report.stable, max_root, ess
 
 
 def run_lambda_sweep(cfg: ExperimentConfig) -> int:
@@ -623,32 +585,24 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> int:
         y_history=[np.zeros(size)], u_history=[np.zeros(size)],
     )
     rows = []
-    for lam in _grid(cfg):
-        w = Weighting.uniform(lam, size)
-        report = stability_check(closed_loop_matrix(pjm, w))
-        max_root = max((abs(r) for r in report.characteristic_roots), default=0.0)
-        if report.stable:
-            analytic = ramp_static_error(pjm, w, Ts=1.0)
-        else:
-            analytic = np.full(size, math.nan)
+    for lam, w, stable, max_root, analytic in _analytic_grid(cfg, pjm):
         try:
             log = simulate(plant, "first_order", reference, steps=cfg.steps, init=init, w=w)
             last = log.records[-1]
             simulated = last.y_ref - last.y
         except DivergenceError:
             simulated = np.full(size, math.nan)
-        rows.append([lam, int(report.stable), max_root, *simulated, *analytic])
+        rows.append([lam, int(stable), max_root, *simulated, *analytic])
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out / f"sweep_{cfg.variant}.csv"
     header = (
         ["lambda", "stable", "max_root"]
         + [f"ess_sim{i + 1}" for i in range(size)]
         + [f"ess_analytic{i + 1}" for i in range(size)]
     )
-    _write_csv(csv_path, SWEEP_SCHEMA, header, rows)
+    _write_csv(cfg.out / f"sweep_{cfg.variant}.csv", SWEEP_SCHEMA, header, rows)
 
-    cols = _read_columns(csv_path)
+    cols = _columns(header, rows)
     series = []
     for i in range(size):
         series.append((f"simulated {i + 1}", cols["lambda"], cols[f"ess_sim{i + 1}"]))
@@ -664,23 +618,14 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> int:
 def run_stability(cfg: ExperimentConfig) -> int:
     _, pjm = _test_loop(cfg.variant)
     size = pjm.My
-    rows = []
-    for lam in _grid(cfg):
-        w = Weighting.uniform(lam, size)
-        report = stability_check(closed_loop_matrix(pjm, w))
-        max_root = max((abs(r) for r in report.characteristic_roots), default=0.0)
-        if report.stable:
-            ess = ramp_static_error(pjm, w, Ts=1.0)
-        else:
-            ess = np.full(size, math.nan)
-        rows.append([lam, max_root, int(report.stable), *ess])
+    rows = [[lam, max_root, int(stable), *ess]
+            for lam, _, stable, max_root, ess in _analytic_grid(cfg, pjm)]
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out / f"stability_{cfg.variant}.csv"
     header = ["lambda", "max_root", "stable"] + [f"ess{i + 1}" for i in range(size)]
-    _write_csv(csv_path, STABILITY_SCHEMA, header, rows)
+    _write_csv(cfg.out / f"stability_{cfg.variant}.csv", STABILITY_SCHEMA, header, rows)
 
-    cols = _read_columns(csv_path)
+    cols = _columns(header, rows)
     grid = cols["lambda"]
     series = [
         ("max_root", grid, cols["max_root"]),
@@ -699,6 +644,35 @@ def run_stability(cfg: ExperimentConfig) -> int:
 # --- entry point --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Subcommand:
+    experiment: str  # the config file's id
+    help: str
+    keys: frozenset[str]  # config keys it accepts
+    run: Callable[[ExperimentConfig], int]
+
+
+_COMMON_KEYS = frozenset({"id", "out", "seed"})
+_SUBCOMMANDS = {
+    "example1": _Subcommand(
+        "example1", "three-controller comparison on the bench plant",
+        _COMMON_KEYS | {"variant", "lambda", "steps"}, run_example1,
+    ),
+    "example2": _Subcommand(
+        "example2", "Cartesian traverse tracked by damped least squares",
+        _COMMON_KEYS | {"tf", "t0", "start_fraction", "goal_fraction"}, run_example2,
+    ),
+    "sweep": _Subcommand(
+        "lambda-sweep", "lambda grid with analytic and simulated ramp errors",
+        _COMMON_KEYS | {"variant", "lambda", "steps"}, run_lambda_sweep,
+    ),
+    "stability": _Subcommand(
+        "stability", "analytic-only lambda grid",
+        _COMMON_KEYS | {"variant", "lambda"}, run_stability,
+    ),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors surface as ConfigError so exit codes stay unambiguous."""
 
@@ -709,14 +683,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfaclab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    blurbs = {
-        "example1": "three-controller comparison on the bench plant",
-        "example2": "Cartesian traverse tracked by damped least squares",
-        "sweep": "lambda grid with analytic and simulated ramp errors",
-        "stability": "analytic-only lambda grid",
-    }
-    for verb, blurb in blurbs.items():
-        sp = sub.add_parser(verb, help=blurb)
+    for verb, subcommand in _SUBCOMMANDS.items():
+        sp = sub.add_parser(verb, help=subcommand.help)
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="INI file with an [experiment] section")
         sp.add_argument("--out", default=None, metavar="DIR",
@@ -728,19 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "lambda-sweep": run_lambda_sweep,
-    "stability": run_stability,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args.verb, args)
-        return _RUNNERS[cfg.experiment](cfg)
+        return _SUBCOMMANDS[args.verb].run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

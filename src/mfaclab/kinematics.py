@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -409,10 +408,6 @@ def parse_chain(text: str) -> KinematicChain:
     if not rows:
         raise ValueError("empty chain table")
     return KinematicChain(rows=tuple(rows))
-
-
-def load_chain(path: str | Path) -> KinematicChain:
-    return parse_chain(Path(path).read_text())
 
 
 def default_arm() -> KinematicChain:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -190,19 +190,45 @@ class SimLog:
         cols += pjm_csv_header(self.dims)
         return cols
 
+    def csv_rows(self) -> list[list]:
+        """Each record's values in csv_header order."""
+        return [
+            [r.k, *map(float, r.y), *map(float, r.y_ref), *map(float, r.u),
+             *map(float, r.delta_u), float(r.cost), r.iterations, *pjm_csv_values(r.pjm)]
+            for r in self.records
+        ]
+
     def to_csv(self, fh: TextIO) -> None:
-        fh.write(f"# schema: {SIMLOG_SCHEMA}\n")
-        # PJM column names embed commas, so the header needs CSV quoting.
-        csv.writer(fh, lineterminator="\n").writerow(self.csv_header())
-        for r in self.records:
-            vals = [str(r.k)]
-            vals += [repr(float(v)) for v in r.y]
-            vals += [repr(float(v)) for v in r.y_ref]
-            vals += [repr(float(v)) for v in r.u]
-            vals += [repr(float(v)) for v in r.delta_u]
-            vals += [repr(float(r.cost)), str(r.iterations)]
-            vals += [repr(v) for v in pjm_csv_values(r.pjm)]
-            fh.write(",".join(vals) + "\n")
+        write_csv(fh, SIMLOG_SCHEMA, self.csv_header(), self.csv_rows())
+
+    def violations(self) -> int:
+        """Records whose input lies outside the box; 0 when there is no box."""
+        if self.box is None:
+            return 0
+        return sum(not self.box.contains(r.u) for r in self.records)
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too; most cells, so tested first
+        return repr(float(value))
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv(fh: TextIO, schema: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a table under a schema line: integers as such, floats by repr.
+
+    repr round-trips, so float() of every numeric cell gives back the row
+    value bit for bit, NaN included.
+    """
+    fh.write(f"# schema: {schema}\n")
+    # Column names may embed commas (e.g. Phi1[0,0]), so the header needs CSV quoting.
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    for row in rows:
+        fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -218,15 +244,10 @@ def metrics(log: SimLog, transient_cutoff: int) -> MetricsReport:
     if not rows:
         raise ValueError(f"no records beyond transient cutoff {transient_cutoff}")
     err = np.array([r.y_ref - r.y for r in rows])
-    violations = 0
-    if log.box is not None:
-        for r in log.records:
-            if not log.box.contains(r.u):
-                violations += 1
     return MetricsReport(
         rmse=np.sqrt(np.mean(err**2, axis=0)),
         max_abs_error=np.max(np.abs(err), axis=0),
-        constraint_violations=violations,
+        constraint_violations=log.violations(),
     )
 
 

@@ -260,13 +260,27 @@ def test_stability_grid(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
+    subpath = tmp_path / "example2.ini"
+    subpath.write_text(
+        "[experiment]\ntf = 0.2\nt0 = 0.02\nstart_fraction = 0.45\ngoal_fraction = 0.55\n"
+    )
+    mimo2 = tmp_path / "mimo2.ini"
+    mimo2.write_text("[experiment]\nvariant = mimo2\n")
+    runs = (
+        ["example1", "--steps", "40"],
+        ["example2", "--config", str(subpath)],
+        ["sweep", "--config", str(mimo2), "--steps", "100"],
+        ["stability"],
+    )
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert main(["example1", "--steps", "40", "--out", str(out)]) == 0
-        assert main(["stability", "--out", str(out)]) == 0
-    for name in ("example1_first_order.csv", "example1_summary.csv",
-                 "example1_outputs.svg", "stability_scalar.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+        for argv in runs:
+            assert main([*argv, "--out", str(out)]) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    assert len(names) == 7 + 7 + 2 + 2  # CSVs and SVGs of the four subcommands
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_svg_charts_are_well_formed(tmp_path):

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -378,7 +380,7 @@ def test_metrics_counts_violations_over_all_rows():
     # violations land in the transient, yet they must still be counted
     log = manual_log([0.0] * 6, us=[2.0, -3.0, 0.5, 0.5, 0.5, 0.5], box=box)
     report = metrics(log, transient_cutoff=3)
-    assert report.constraint_violations == 2
+    assert report.constraint_violations == log.violations() == 2
 
 
 # -------------------------------------------------------------------- csv
@@ -417,6 +419,36 @@ def test_csv_rerun_is_byte_identical():
     example1_run("first_order", steps=25).to_csv(first)
     example1_run("first_order", steps=25).to_csv(second)
     assert first.getvalue() == second.getvalue()
+
+
+def assert_cells_round_trip(log):
+    buf = io.StringIO()
+    log.to_csv(buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue().split("\n", 1)[1])))
+    header, data = rows[0], rows[1:]
+    assert header == log.csv_header()
+    expected = log.csv_rows()
+    assert len(data) == len(expected) == len(log)
+    for cells, values in zip(data, expected):
+        assert len(cells) == len(values) == len(header)
+        for cell, value in zip(cells, values):
+            parsed, value = float(cell), float(value)
+            if math.isnan(value):
+                assert math.isnan(parsed)
+            else:
+                assert struct.pack("<d", parsed) == struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_csv_cells_round_trip_to_row_values_bitwise(variant):
+    assert_cells_round_trip(example1_run(variant, steps=120))
+
+
+def test_csv_cells_round_trip_on_divergent_partial_log():
+    with pytest.raises(DivergenceError) as err:
+        example1_run("first_order", steps=200, lam=0.0)
+    assert err.value.step == 172
+    assert_cells_round_trip(err.value.log)
 
 
 def test_metrics_match_csv_recomputation():
