@@ -113,6 +113,12 @@ def stability_check(T: np.ndarray) -> StabilityReport:
     A pole is accepted as stable only below 1 - STABILITY_MARGIN, so marginal
     loops classify unstable.  Raises DegenerateLoopError when det T vanishes
     identically.
+
+    Limit: when T_0 is singular only up to rounding and a pole at infinity
+    has a Jordan chain, the pencil solve can report spurious huge poles
+    (about 1e7 on a rotated copy of a loop whose true poles are {0, 1}), so
+    such a T may read unstable.  T from closed_loop_matrix can meet this only
+    with at least two zero weighting entries.
     """
     roots = _poles(np.asarray(T, dtype=float))
     if roots.size == 0:

@@ -410,8 +410,8 @@ def run_example1(cfg: ExperimentConfig) -> int:
             status = 2
             print(f"example1 {variant}: diverged at step {exc.step}", file=sys.stderr)
         with (cfg.out / f"example1_{variant}.csv").open("w", newline="") as fh:
-            log.to_csv(fh)
-        tables.append((variant, _columns(log.csv_header(), log.csv_rows())))
+            rows = log.to_csv(fh)
+        tables.append((variant, _columns(log.csv_header(), rows)))
         if diverged_at:
             rmse = max_err = (math.nan, math.nan)
         else:

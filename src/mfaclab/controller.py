@@ -20,6 +20,7 @@ from .edlm import (
     DifferentiableModel,
     PseudoJacobian,
     RegressorWindow,
+    _check_finite,
     _curvature_corrected,
     _first_order_blocks,
     _operating_args,
@@ -91,19 +92,6 @@ class BoxConstraints:
         return np.clip(u, self.lower, self.upper)
 
 
-@dataclass(frozen=True)
-class ControlDecision:
-    """One controller step: increment, absolute input, and diagnostics."""
-
-    delta_u: np.ndarray
-    u: np.ndarray
-    cost: float
-    iterations: int
-    condition_number: float
-    converged: bool = True
-    pjm: PseudoJacobian | None = None
-
-
 def _damping(cond: float) -> float:
     """Damping value that lambda_schedule puts on every entry."""
     if not np.isfinite(cond) or cond >= 20000.0:
@@ -131,8 +119,8 @@ def condition_number(m: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-class _Step(NamedTuple):
-    """A control law's result before the diagnostics only the public laws report."""
+class ControlDecision(NamedTuple):
+    """One control step: increment, absolute input, diagnostics, and the blocks it used."""
 
     delta_u: np.ndarray
     u: np.ndarray
@@ -142,19 +130,10 @@ class _Step(NamedTuple):
     output_blocks: Sequence[np.ndarray]
     input_blocks: Sequence[np.ndarray]
 
-
-def _decision(step: _Step, pjm: PseudoJacobian | None = None) -> ControlDecision:
-    if pjm is None:
-        pjm = PseudoJacobian(output_blocks=tuple(step.output_blocks), input_blocks=tuple(step.input_blocks))
-    return ControlDecision(
-        delta_u=step.delta_u,
-        u=step.u,
-        cost=step.cost,
-        iterations=step.iterations,
-        condition_number=condition_number(pjm.lead_input_block),
-        converged=step.converged,
-        pjm=pjm,
-    )
+    @property
+    def pjm(self) -> PseudoJacobian:
+        """The blocks as a frozen, validated PseudoJacobian, built on each read."""
+        return PseudoJacobian(output_blocks=tuple(self.output_blocks), input_blocks=tuple(self.input_blocks))
 
 
 def _check_controller_args(
@@ -211,7 +190,7 @@ def _solve_step(
     y_ref: np.ndarray,
     entries: np.ndarray,
     penalty: np.ndarray,
-) -> _Step:
+) -> ControlDecision:
     """Core of mfac_step on validated operands; penalty is diag(entries)."""
     phi_u = input_blocks[0]
     residual = _history_residual(output_blocks, input_blocks, ys, us, y_now, y_ref)
@@ -231,7 +210,7 @@ def _solve_step(
             delta_u = np.linalg.lstsq(phi_u, residual, rcond=None)[0]
         else:
             delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
-    return _Step(
+    return ControlDecision(
         delta_u=delta_u,
         u=us[0] + delta_u,
         cost=_cost(phi_u, entries, residual, delta_u),
@@ -256,10 +235,9 @@ def mfac_step(
     spans the outputs; fewer independent rows than outputs is an error.
     """
     y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
-    step = _solve_step(
+    return _solve_step(
         pjm.output_blocks, pjm.input_blocks, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix
     )
-    return _decision(step, pjm)
 
 
 def _box_step(
@@ -272,7 +250,7 @@ def _box_step(
     entries: np.ndarray,
     penalty: np.ndarray,
     box: BoxConstraints,
-) -> _Step:
+) -> ControlDecision:
     """Core of mfac_constrained_step on validated operands; penalty is diag(entries)."""
     u_prev = us[0]
     lo = box.lower - u_prev
@@ -298,7 +276,7 @@ def _box_step(
         if biggest < SWEEP_TOL:
             break
     u = box.clip(u_prev + x)
-    return _Step(
+    return ControlDecision(
         delta_u=u - u_prev,
         u=u,
         cost=_cost(phi_u, entries, residual, x),
@@ -330,11 +308,10 @@ def mfac_constrained_step(
     """
     y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
     _check_box(box, window.dims.Mu)
-    step = _box_step(
+    return _box_step(
         pjm.output_blocks, pjm.input_blocks, window.y_history, window.u_history, y_now, y_ref,
         w.entries, w.matrix, box,
     )
-    return _decision(step, pjm)
 
 
 def _quartic_step(
@@ -346,7 +323,7 @@ def _quartic_step(
     y_ref: np.ndarray,
     entries: np.ndarray,
     penalty: np.ndarray,
-) -> _Step:
+) -> ControlDecision:
     """Core of mfac_quartic_step on validated operands.
 
     args is the linearization point at step k-1.  The first-order blocks and
@@ -362,7 +339,7 @@ def _quartic_step(
     committed = [ys[i] - ys[i + 1] for i in range(n_y)]
     lagged = [us[j] - us[j + 1] if j + 1 < len(us) else np.zeros(dims.Mu) for j in range(dims.nu)]
 
-    best: _Step | None = None
+    best: ControlDecision | None = None
     converged = False
     passes = 0
     for passes in range(1, QUARTIC_MAX_PASSES + 1):
@@ -392,7 +369,8 @@ def mfac_quartic_step(
     the first-order increment, rebuild the corrected blocks at the current
     iterate, re-solve the quadratic, and repeat until the iterate settles
     (QUARTIC_TOL in the max norm) or QUARTIC_MAX_PASSES elapse.  On a cap-out
-    the best-cost iterate is returned flagged non-converged.
+    the best-cost iterate is returned flagged non-converged.  A non-finite
+    entry in the returned blocks raises ValueError.
     """
     dims = window.dims
     if len(window.y_history) < dims.Ly + 1:
@@ -402,4 +380,5 @@ def mfac_quartic_step(
     md = model.dims
     y_now, y_ref = _check_controller_args((md.My, md.Mu, md.Ly, md.Lu), window, y_now, y_ref, w)
     step = _quartic_step(model, args, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix)
-    return _decision(step)
+    _check_finite(step.output_blocks, step.input_blocks)
+    return step

@@ -110,11 +110,17 @@ def _frozen_blocks(blocks, shape: tuple[int, int], kind: str) -> tuple[np.ndarra
         a = np.array(b, dtype=float)
         if a.shape != shape:
             raise ShapeError(f"{kind} block {i + 1} has shape {a.shape}, expected {shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{kind} block {i + 1} contains non-finite entries")
         a.setflags(write=False)
         out.append(a)
     return tuple(out)
+
+
+def _check_finite(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> None:
+    """Raise ValueError naming the first block, output blocks first, with a non-finite entry."""
+    for kind, blocks in (("output", output_blocks), ("input", input_blocks)):
+        for i, b in enumerate(blocks):
+            if not np.isfinite(b).all():
+                raise ValueError(f"{kind} block {i + 1} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,7 @@ class PseudoJacobian:
         My, Mu = np.shape(self.input_blocks[0])[:2]
         object.__setattr__(self, "output_blocks", _frozen_blocks(self.output_blocks, (My, My), "output"))
         object.__setattr__(self, "input_blocks", _frozen_blocks(self.input_blocks, (My, Mu), "input"))
+        _check_finite(self.output_blocks, self.input_blocks)
 
     @classmethod
     def constant(cls, value: float, dims: Dimensions) -> "PseudoJacobian":

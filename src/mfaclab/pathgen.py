@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, ShapeError
 from .kinematics import TaskVector
+from .plant import write_csv
 
 PATH_SCHEMA = "mfaclab.path.v1"
 GEODESIC_TOL = 1.0e-8
@@ -229,11 +230,8 @@ class CartesianPath:
         return iter(zip(self.times, self.samples))
 
     def to_csv(self, fh: TextIO) -> None:
-        fh.write(f"# schema: {PATH_SCHEMA}\n")
-        fh.write("t,x,y,z,alpha,beta,gamma\n")
-        for t, s in zip(self.times, self.samples):
-            vals = [repr(float(t))] + [repr(float(v)) for v in s.as_array()]
-            fh.write(",".join(vals) + "\n")
+        rows = ([t, *s.as_array()] for t, s in zip(self.times, self.samples))
+        write_csv(fh, PATH_SCHEMA, ["t", "x", "y", "z", "alpha", "beta", "gamma"], rows)
 
 
 def generate_path(spec: PathSpec) -> CartesianPath:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .controller import (
     BoxConstraints,
+    ControlDecision,
     Weighting,
     _box_step,
     _check_box,
@@ -22,6 +23,7 @@ from .edlm import (
     Dimensions,
     PseudoJacobian,
     RegressorWindow,
+    _check_finite,
     _check_orders,
     _first_order_blocks,
     _padded_blocks,
@@ -154,16 +156,22 @@ class ZeroReference(ReferenceSignal):
 
 @dataclass(frozen=True)
 class SimRecord:
-    """One logged step of a closed-loop run."""
+    """One logged step of a closed-loop run, with the raw pseudo-Jacobian blocks of the step."""
 
     k: int
     y: np.ndarray
     y_ref: np.ndarray
     u: np.ndarray
     delta_u: np.ndarray
-    pjm: PseudoJacobian
+    output_blocks: Sequence[np.ndarray]
+    input_blocks: Sequence[np.ndarray]
     cost: float
     iterations: int
+
+    @property
+    def pjm(self) -> PseudoJacobian:
+        """The blocks as a frozen, validated PseudoJacobian, built on each read."""
+        return PseudoJacobian(output_blocks=tuple(self.output_blocks), input_blocks=tuple(self.input_blocks))
 
 
 @dataclass
@@ -198,8 +206,11 @@ class SimLog:
             for r in self.records
         ]
 
-    def to_csv(self, fh: TextIO) -> None:
-        write_csv(fh, SIMLOG_SCHEMA, self.csv_header(), self.csv_rows())
+    def to_csv(self, fh: TextIO) -> list[list]:
+        """Write the log as CSV and return the rows written, in csv_header order."""
+        rows = self.csv_rows()
+        write_csv(fh, SIMLOG_SCHEMA, self.csv_header(), rows)
+        return rows
 
     def violations(self) -> int:
         """Records whose input lies outside the box; 0 when there is no box."""
@@ -281,7 +292,8 @@ def simulate(
 
     The arguments are validated here, once; the loop then calls the control
     laws' cores on plain history lists and checks only what each step brings
-    in: plant outputs, reference samples and the divergence limit.
+    in: plant outputs, reference samples, the divergence limit, and the
+    finiteness of the step's pseudo-Jacobian blocks (ValueError otherwise).
     """
     if controller_variant not in VARIANTS:
         raise ValueError(f"unknown controller variant {controller_variant!r}, expected one of {VARIANTS}")
@@ -318,10 +330,12 @@ def simulate(
         du = u_k - u_hist[k0 - k]
         log.records.append(
             SimRecord(k=k, y=y_k, y_ref=reference.sample(k), u=u_k, delta_u=du,
-                      pjm=seed, cost=0.0, iterations=0)
+                      output_blocks=seed.output_blocks, input_blocks=seed.input_blocks, cost=0.0, iterations=0)
         )
 
-    last_pjm = seed
+    # Stands in for the last step when no step runs (k0 == steps).
+    step = ControlDecision(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0, converged=True,
+                           output_blocks=seed.output_blocks, input_blocks=seed.input_blocks)
     ref_now = reference.sample(k0)
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
@@ -342,23 +356,16 @@ def simulate(
                     step = _box_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty, box)
                 else:
                     step = _solve_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty)
-            last_pjm = PseudoJacobian(output_blocks=tuple(step.output_blocks), input_blocks=tuple(step.input_blocks))
-            u_new = step.u
-            du = step.delta_u
-            cost = step.cost
-            iters = step.iterations
-        else:
-            u_new = u_hist[0]
-            du = np.zeros(dims.Mu)
-            cost = 0.0
-            iters = 0
+            _check_finite(step.output_blocks, step.input_blocks)
+        else:  # the final row holds the last input and the last step's blocks
+            step = step._replace(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0)
         log.records.append(
-            SimRecord(k=k, y=y_now, y_ref=ref_now, u=u_new, delta_u=du,
-                      pjm=last_pjm, cost=cost, iterations=iters)
+            SimRecord(k=k, y=y_now, y_ref=ref_now, u=step.u, delta_u=step.delta_u, output_blocks=step.output_blocks,
+                      input_blocks=step.input_blocks, cost=step.cost, iterations=step.iterations)
         )
         if k < steps:
-            y_next = plant._checked_eval(y_hist[:n_y] + [u_new] + u_hist[:dims.nu])
+            y_next = plant._checked_eval(y_hist[:n_y] + [step.u] + u_hist[:dims.nu])
             y_hist = [y_next] + y_hist[:-1]
-            u_hist = [u_new] + u_hist[:-1]
+            u_hist = [step.u] + u_hist[:-1]
             ref_now = ref_next
     return log

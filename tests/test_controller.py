@@ -295,3 +295,15 @@ def test_lambda_schedule_monotone_in_cond():
     grid = [1.0, 10.0, 4999.0, 5000.0, 7500.0, 19999.0, 20000.0, 1e9, float("inf")]
     values = [lambda_schedule(c).entries[0] for c in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_decision_carries_the_given_pseudo_jacobian_bitwise():
+    rng = np.random.RandomState(31)
+    dims = Dimensions(My=2, Mu=2, Ly=1, Lu=2)
+    pjm = PseudoJacobian((rng.randn(2, 2),), (rng.randn(2, 2), rng.randn(2, 2)))
+    win = window(dims, 3, [rng.randn(2), rng.randn(2)], [rng.randn(2), rng.randn(2)])
+    w = Weighting(np.array([0.1, 0.3]))
+    box = BoxConstraints(np.full(2, -0.5), np.full(2, 0.5))
+    for dec in (mfac_step(pjm, win, win.y_history[0], rng.randn(2), w),
+                mfac_constrained_step(pjm, win, win.y_history[0], rng.randn(2), w, box)):
+        assert dec.pjm.flattened().tobytes() == pjm.flattened().tobytes()
