@@ -58,6 +58,7 @@ from .plant import (
     RampReference,
     metrics,
     simulate,
+    simulate_batch,
     write_csv,
 )
 
@@ -584,14 +585,15 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> int:
         dims=plant.dims, k=1,
         y_history=[np.zeros(size)], u_history=[np.zeros(size)],
     )
+    grid = list(_analytic_grid(cfg, pjm))
+    # One batched simulation for the whole grid; only each row's last record is read.
+    batch = simulate_batch(plant, reference, cfg.steps, init, [w for _, w, *_ in grid])
     rows = []
-    for lam, w, stable, max_root, analytic in _analytic_grid(cfg, pjm):
-        try:
-            log = simulate(plant, "first_order", reference, steps=cfg.steps, init=init, w=w)
-            last = log.records[-1]
-            simulated = last.y_ref - last.y
-        except DivergenceError:
+    for i, (lam, _, stable, max_root, analytic) in enumerate(grid):
+        if batch.diverged_at[i]:
             simulated = np.full(size, math.nan)
+        else:
+            simulated = batch.y_ref[-1] - batch.y[i, -1]
         rows.append([lam, int(stable), max_root, *simulated, *analytic])
 
     cfg.out.mkdir(parents=True, exist_ok=True)

@@ -169,7 +169,11 @@ class PseudoJacobian:
 
     def flattened(self) -> np.ndarray:
         """All blocks side by side: shape (My, Ly*My + Lu*Mu)."""
-        return np.hstack(self.output_blocks + self.input_blocks)
+        return _side_by_side(self.output_blocks, self.input_blocks)
+
+
+def _side_by_side(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> np.ndarray:
+    return np.hstack([*output_blocks, *input_blocks])
 
 
 def pjm_csv_header(dims: Dimensions) -> list[str]:
@@ -185,7 +189,12 @@ def pjm_csv_header(dims: Dimensions) -> list[str]:
 
 def pjm_csv_values(pjm: PseudoJacobian) -> list[float]:
     """Row-major flattened entries, matching pjm_csv_header order."""
-    return [float(v) for v in pjm.flattened().ravel()]
+    return _csv_values(pjm.output_blocks, pjm.input_blocks)
+
+
+def _csv_values(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> list[float]:
+    """pjm_csv_values on raw blocks, without building a PseudoJacobian."""
+    return _side_by_side(output_blocks, input_blocks).ravel().tolist()
 
 
 class DifferentiableModel(ABC):
@@ -316,6 +325,33 @@ def _first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) 
     return [D[:, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _stacked_first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """_first_order_blocks at B points at once; slot s has shape (B, width).
+
+    Each point gets the 2n stencil rows of _first_order_blocks, and all B*2n
+    rows go through one batched evaluation.  Block s has shape
+    (B, My, width of slot s); point p's blocks carry the bits of a one-point
+    call.  A separate function, so that the one-point path of simulate pays
+    nothing for the batch axis.
+    """
+    x = np.concatenate(args, axis=1)
+    count, n = x.shape
+    h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
+    X = np.repeat(x[:, None, :], 2 * n, axis=1)
+    # Flat positions of (2i, i) within one point's rows; (2i+1, i) lies n further on.
+    up = np.arange(0, 2 * n * n, 2 * n + 1)
+    per_point = X.reshape(count, -1)
+    per_point[:, up] += h
+    per_point[:, up + n] -= h
+    X = X.reshape(count * 2 * n, n)
+    bounds = [0]
+    for a in args:
+        bounds.append(bounds[-1] + a.shape[1])
+    F = model._checked_batch([X[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]).reshape(count, 2 * n, -1)
+    D = ((F[:, 0::2] - F[:, 1::2]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
+    return [D[:, :, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _slot_hessians(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Hessians of every output component with respect to each argument slot.
 
@@ -362,10 +398,14 @@ def _curvature_corrected(
 
 
 def _padded_blocks(dims: Dimensions, slot_blocks: Sequence[np.ndarray]) -> tuple[list, list]:
-    """Output and input block lists of the window layout; blocks beyond the true orders are zero."""
+    """Output and input block lists of the window layout; blocks beyond the true orders are zero.
+
+    Stacked slot blocks (leading batch axes) get stacked zero blocks.
+    """
     n_y = dims.ny + 1
-    out_blocks = list(slot_blocks[:n_y]) + [np.zeros((dims.My, dims.My)) for _ in range(dims.Ly - n_y)]
-    in_blocks = list(slot_blocks[n_y:]) + [np.zeros((dims.My, dims.Mu)) for _ in range(dims.Lu - dims.nu - 1)]
+    lead = slot_blocks[-1].shape[:-2]
+    out_blocks = list(slot_blocks[:n_y]) + [np.zeros(lead + (dims.My, dims.My)) for _ in range(dims.Ly - n_y)]
+    in_blocks = list(slot_blocks[n_y:]) + [np.zeros(lead + (dims.My, dims.Mu)) for _ in range(dims.Lu - dims.nu - 1)]
     return out_blocks, in_blocks
 
 

@@ -10,7 +10,7 @@ rotation Rz(gamma) Ry(beta) Rx(alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
@@ -59,14 +59,24 @@ def dh_transform(row: DHRow, q: float = 0.0) -> Pose:
 
 @dataclass(frozen=True)
 class KinematicChain:
-    """Ordered DH rows; revolute rows consume one joint angle each."""
+    """Ordered DH rows; revolute rows consume one joint angle each.
+
+    The transforms of the fixed rows are formed once, here; a revolute row
+    has None in their place.
+    """
 
     rows: tuple[DHRow, ...]
+    fixed_transforms: tuple[np.ndarray | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         if self.joint_count == 0:
             raise ValueError("chain has no revolute rows")
+        fixed = tuple(None if row.revolute else row.transform() for row in self.rows)
+        for T in fixed:
+            if T is not None:
+                T.setflags(write=False)
+        object.__setattr__(self, "fixed_transforms", fixed)
 
     @property
     def joint_count(self) -> int:
@@ -153,12 +163,12 @@ def _chain_frames(chain: KinematicChain, q: np.ndarray) -> list[np.ndarray]:
         raise ShapeError(f"expected {chain.joint_count} joint angles, got shape {q.shape}")
     frames = [np.eye(4)]
     idx = 0
-    for row in chain.rows:
-        if row.revolute:
+    for row, fixed in zip(chain.rows, chain.fixed_transforms):
+        if fixed is None:
             frames.append(frames[-1] @ row.transform(q[idx]))
             idx += 1
         else:
-            frames.append(frames[-1] @ row.transform())
+            frames.append(frames[-1] @ fixed)
     return frames
 
 

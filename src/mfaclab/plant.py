@@ -25,10 +25,11 @@ from .edlm import (
     RegressorWindow,
     _check_finite,
     _check_orders,
+    _csv_values,
     _first_order_blocks,
     _padded_blocks,
+    _stacked_first_order_blocks,
     pjm_csv_header,
-    pjm_csv_values,
 )
 from .errors import DivergenceError, ShapeError
 
@@ -202,7 +203,8 @@ class SimLog:
         """Each record's values in csv_header order."""
         return [
             [r.k, *map(float, r.y), *map(float, r.y_ref), *map(float, r.u),
-             *map(float, r.delta_u), float(r.cost), r.iterations, *pjm_csv_values(r.pjm)]
+             *map(float, r.delta_u), float(r.cost), r.iterations,
+             *_csv_values(r.output_blocks, r.input_blocks)]
             for r in self.records
         ]
 
@@ -368,4 +370,224 @@ def simulate(
             y_hist = [y_next] + y_hist[:-1]
             u_hist = [step.u] + u_hist[:-1]
             ref_now = ref_next
+    return log
+
+
+@dataclass
+class BatchLog:
+    """The records of simulate_batch, stacked; row i ran under weightings[i].
+
+    Record k of row i sits at index k - 1 of the step axis.  diverged_at[i]
+    is the step at which row i's output left the admissible region, 0 if the
+    row ran to the end; a diverged row logged diverged_at[i] - 1 records, and
+    entries past them are not records.
+    """
+
+    dims: Dimensions
+    weightings: tuple[Weighting, ...]
+    y_ref: np.ndarray  # (steps, My), shared by every row
+    y: np.ndarray  # (B, steps, My)
+    u: np.ndarray  # (B, steps, Mu)
+    delta_u: np.ndarray  # (B, steps, Mu)
+    cost: np.ndarray  # (B, steps)
+    output_blocks: np.ndarray  # (B, steps, Ly, My, My)
+    input_blocks: np.ndarray  # (B, steps, Lu, My, Mu)
+    diverged_at: np.ndarray  # (B,)
+
+    def length(self, i: int) -> int:
+        """Records logged by row i."""
+        return int(self.diverged_at[i]) - 1 if self.diverged_at[i] else self.y.shape[1]
+
+    def log(self, i: int) -> SimLog:
+        """Row i as the SimLog of simulate: the partial log carried by its DivergenceError if it diverged."""
+        out, inp = self.output_blocks[i], self.input_blocks[i]
+        records = [
+            SimRecord(k=n + 1, y=self.y[i, n], y_ref=self.y_ref[n], u=self.u[i, n], delta_u=self.delta_u[i, n],
+                      output_blocks=tuple(out[n]), input_blocks=tuple(inp[n]), cost=float(self.cost[i, n]),
+                      iterations=0)
+            for n in range(self.length(i))
+        ]
+        return SimLog(dims=self.dims, variant="first_order", weighting=self.weightings[i], records=records)
+
+
+def _stacked_mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row b is m[b] @ v[b], with the bits of the per-row product."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row r is a[r] @ b[r], with the bits of the per-row product."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _solve_fails(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the Cholesky check or the solve of _solve_step raises on this row."""
+    try:
+        np.linalg.cholesky(a)
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _stacked_solve_step(
+    output_blocks: Sequence[np.ndarray],
+    input_blocks: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    us: Sequence[np.ndarray],
+    y_now: np.ndarray,
+    y_ref: np.ndarray,
+    entries: np.ndarray,
+    penalty: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_step on a stack of rows: (delta_u, cost), each row with the bits of its own call.
+
+    Every operand but the shared y_ref has a leading row axis.  Rows whose
+    Cholesky check or solve fails go through _solve_step itself, one by one,
+    so its fallback has one implementation.
+    """
+    phi_u = input_blocks[0]
+    r = y_ref - y_now
+    for i, block in enumerate(output_blocks):
+        r = r - _stacked_mv(block, ys[i] - ys[i + 1])
+    for j in range(1, len(input_blocks)):
+        r = r - _stacked_mv(input_blocks[j], us[j - 1] - us[j])
+    phi_t = phi_u.transpose(0, 2, 1)
+    A = np.matmul(phi_t, phi_u) + penalty
+    b = _stacked_mv(phi_t, r)
+    fallback = []
+    try:
+        np.linalg.cholesky(A)
+        delta_u = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        fallback = [i for i in range(A.shape[0]) if _solve_fails(A[i], b[i])]
+        A[fallback] = np.eye(A.shape[1])  # placeholders, so that the stacked solve covers the other rows
+        delta_u = np.linalg.solve(A, b[..., None])[..., 0]
+    miss = r - _stacked_mv(phi_u, delta_u)
+    cost = _stacked_dot(miss, miss) + _stacked_dot(delta_u, entries * delta_u)
+    for i in fallback:
+        step = _solve_step([m[i] for m in output_blocks], [m[i] for m in input_blocks], [v[i] for v in ys],
+                           [v[i] for v in us], y_now[i], y_ref, entries[i], penalty[i])
+        delta_u[i] = step.delta_u
+        cost[i] = step.cost
+    return delta_u, cost
+
+
+def _reference_sample(reference: ReferenceSignal, k: int, size: int) -> np.ndarray:
+    sample = np.atleast_1d(np.asarray(reference.sample(k), dtype=float))
+    if sample.shape != (size,):
+        raise ShapeError(f"reference samples must have shape ({size},), got {sample.shape}")
+    return sample
+
+
+def simulate_batch(
+    plant: DifferentiableModel,
+    reference: ReferenceSignal,
+    steps: int,
+    init: RegressorWindow,
+    weightings: Sequence[Weighting],
+) -> BatchLog:
+    """Run the first-order law once per weighting on one plant, all runs stacked.
+
+    Row i gives, bit for bit, the log of simulate(plant, "first_order",
+    reference, steps, init, weightings[i]); the reference and the init window
+    are shared.  Each step is one stacked pass over the rows still running:
+    one batched plant evaluation for all their finite-difference points,
+    stacked normal equations, one stacked Cholesky check and solve (rows
+    where either fails take controller._solve_step's fallback, one by one),
+    and one batched plant step.  A row whose output leaves
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] leaves the stack at that step and
+    keeps its partial records (BatchLog.diverged_at); it raises nothing.
+    Every other error of simulate (argument checks, reference and plant
+    output shape, non-finite plant outputs or pseudo-Jacobian blocks, a
+    rank-deficient lead block under zero weighting) is raised for the whole
+    batch.  The blocks are checked before the solve.
+    """
+    dims = plant.dims
+    if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
+        raise ShapeError("init window signal sizes do not match the plant")
+    _check_orders(dims)
+    weightings = tuple(weightings)
+    if not weightings:
+        raise ValueError("simulate_batch needs at least one weighting")
+    for i, w in enumerate(weightings):
+        if w.size != dims.Mu:
+            raise ShapeError(f"weighting {i} has {w.size} entries, expected {dims.Mu}")
+    k0 = init.k
+    if not 1 <= k0 <= steps:
+        raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
+
+    count = len(weightings)
+    depth_y = max(dims.Ly + 2, dims.ny + 3, k0 + 1)
+    depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
+    y_hist = [np.repeat(v[None], count, axis=0) for v in _padded(init.y_history, depth_y, dims.My)]
+    u_hist = [np.repeat(v[None], count, axis=0) for v in _padded(init.u_history, depth_u, dims.Mu)]
+    n_y = dims.ny + 1
+    n_u = dims.nu + 1
+    entries = np.array([w.entries for w in weightings])
+    penalty = np.array([w.matrix for w in weightings])
+
+    log = BatchLog(
+        dims=dims, weightings=weightings,
+        y_ref=np.full((steps, dims.My), np.nan),
+        y=np.full((count, steps, dims.My), np.nan),
+        u=np.full((count, steps, dims.Mu), np.nan),
+        delta_u=np.full((count, steps, dims.Mu), np.nan),
+        cost=np.full((count, steps), np.nan),
+        output_blocks=np.zeros((count, steps, dims.Ly, dims.My, dims.My)),  # the zero seed where no step ran
+        input_blocks=np.zeros((count, steps, dims.Lu, dims.My, dims.Mu)),
+        diverged_at=np.zeros(count, dtype=int),
+    )
+
+    # Pre-history rows come straight from the init window.
+    for k in range(1, k0):
+        log.y_ref[k - 1] = _reference_sample(reference, k, dims.My)
+        log.y[:, k - 1] = y_hist[k0 - k]
+        log.u[:, k - 1] = u_hist[k0 - 1 - k]
+        log.delta_u[:, k - 1] = u_hist[k0 - 1 - k] - u_hist[k0 - k]
+        log.cost[:, k - 1] = 0.0
+
+    rows = np.arange(count)  # the rows still running, in batch order
+    log.y_ref[k0 - 1] = _reference_sample(reference, k0, dims.My)
+    for k in range(k0, steps + 1):
+        y_now = y_hist[0]
+        left = np.abs(y_now).max(axis=1) > DIVERGENCE_LIMIT
+        if left.any():
+            log.diverged_at[rows[left]] = k
+            stay = ~left
+            rows = rows[stay]
+            if rows.size == 0:
+                break
+            y_hist = [v[stay] for v in y_hist]
+            u_hist = [v[stay] for v in u_hist]
+            entries, penalty = entries[stay], penalty[stay]
+            y_now = y_hist[0]
+        at = (rows, k - 1)
+        log.y[at] = y_now
+        if k == steps:  # the final row holds the last input and the last step's blocks
+            log.u[at] = u_hist[0]
+            log.delta_u[at] = 0.0
+            log.cost[at] = 0.0
+            if k > k0:
+                log.output_blocks[at] = log.output_blocks[rows, k - 2]
+                log.input_blocks[at] = log.input_blocks[rows, k - 2]
+            break
+        target = _reference_sample(reference, k + 1, dims.My)
+        # Linearization point at step k-1.
+        args = y_hist[1:1 + n_y] + u_hist[:n_u]
+        out_blocks, in_blocks = _padded_blocks(dims, _stacked_first_order_blocks(plant, args))
+        _check_finite(out_blocks, in_blocks)
+        delta_u, cost = _stacked_solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty)
+        u = u_hist[0] + delta_u
+        log.u[at] = u
+        log.delta_u[at] = delta_u
+        log.cost[at] = cost
+        for i, block in enumerate(out_blocks):
+            log.output_blocks[rows, k - 1, i] = block
+        for j, block in enumerate(in_blocks):
+            log.input_blocks[rows, k - 1, j] = block
+        y_next = plant._checked_batch(y_hist[:n_y] + [u] + u_hist[:dims.nu])
+        y_hist = [y_next] + y_hist[:-1]
+        u_hist = [u] + u_hist[:-1]
+        log.y_ref[k] = target
     return log

@@ -5,12 +5,14 @@ import dataclasses
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from mfaclab.analysis import ramp_static_error
-from mfaclab.cli import TEST_LOOPS
+from mfaclab import plant as plant_module
+from mfaclab.cli import LAMBDA_GRID, TEST_LOOPS
 from mfaclab.controller import (
     QUARTIC_MAX_PASSES,
     QUARTIC_TOL,
@@ -29,7 +31,7 @@ from mfaclab.edlm import (
     pjm_first_order,
     pjm_second_order,
 )
-from mfaclab.errors import DivergenceError, NonFiniteModelError, ShapeError
+from mfaclab.errors import DivergenceError, NonFiniteModelError, RankDeficiencyError, ShapeError
 from mfaclab.plant import (
     DIVERGENCE_LIMIT,
     SIMLOG_SCHEMA,
@@ -46,6 +48,7 @@ from mfaclab.plant import (
     example1_reference,
     metrics,
     simulate,
+    simulate_batch,
 )
 
 
@@ -724,3 +727,158 @@ def test_simulate_builds_no_pseudo_jacobian_per_step(variant, monkeypatch):
                    box=box if variant == "constrained" else None)
     assert len(log) == 50
     assert len(built) <= 1  # the zero seed
+
+
+# ----------------------------------------------------- batched simulation
+
+
+def csv_bytes(log):
+    buf = io.StringIO()
+    log.to_csv(buf)
+    return buf.getvalue()
+
+
+def simulate_or_divergence(plant, reference, steps, init, w):
+    """simulate's log and the step it diverged at (0 if it ran to the end)."""
+    try:
+        return simulate(plant, "first_order", reference, steps, init, w), 0
+    except DivergenceError as err:
+        return err.log, err.step
+
+
+def assert_rows_match_simulate(batch, plant, reference, steps, init):
+    """Row i of the batch has simulate's divergence step, record count and CSV bytes."""
+    for i, w in enumerate(batch.weightings):
+        log, step = simulate_or_divergence(plant, reference, steps, init, w)
+        assert batch.diverged_at[i] == step, i
+        assert batch.length(i) == len(log), i
+        assert csv_bytes(batch.log(i)) == csv_bytes(log), i
+
+
+def batch_matching_simulate(plant, reference, steps, init, weightings):
+    batch = simulate_batch(plant, reference, steps, init, weightings)
+    assert_rows_match_simulate(batch, plant, reference, steps, init)
+    return batch
+
+
+class CountedSolveStep:
+    """Stands in for plant._solve_step and counts the rows that took the fallback."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.original = plant_module._solve_step
+        monkeypatch.setattr(plant_module, "_solve_step", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.original(*args)
+
+
+@pytest.mark.parametrize("loop", sorted(TEST_LOOPS))
+def test_batch_rows_match_simulate_on_sweep_grid(loop, monkeypatch):
+    a_blocks, b_blocks = TEST_LOOPS[loop]
+    plant = LTIPlant([np.array(a_blocks)], [np.array(b_blocks)])
+    size = plant.dims.My
+    init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.zeros(size)], u_history=[np.zeros(size)])
+    weightings = [Weighting.uniform(lam, size) for lam in LAMBDA_GRID]
+    fallback = CountedSolveStep(monkeypatch)
+    batch = simulate_batch(plant, RampReference(size), 600, init, weightings)
+    assert fallback.calls == 0  # every lead block of these loops passes the stacked Cholesky check
+    monkeypatch.undo()
+    assert np.count_nonzero(batch.diverged_at) == (9 if loop == "mimo2" else 0)  # mimo2 is unstable from 0.55
+    assert_rows_match_simulate(batch, plant, RampReference(size), 600, init)
+
+
+def test_single_row_batch_matches_simulate_on_bench_plant():
+    # nonlinear plant through the row-by-row evaluate_batch, with pre-history rows
+    plant = Example1Plant()
+    init = RegressorWindow(dims=plant.dims, k=3, y_history=[np.full(2, 0.1)] * 3, u_history=[np.full(2, -0.1)] * 2)
+    batch = batch_matching_simulate(plant, Example1Reference(), 60, init, [Weighting.uniform(0.2, 2)])
+    assert batch.y.shape == (1, 60, 2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_rows_match_simulate_on_random_lti(seed):
+    # window lengths, signal sizes, a later first step, and zero weights on
+    # wide lead blocks (Mu > My), whose solve takes the fallback
+    rng = np.random.default_rng(200 + seed)
+    My = 1 + seed % 3
+    Mu = int(rng.integers(1, 4))
+    a_blocks = [0.3 * rng.normal(size=(My, My)) for _ in range(int(rng.integers(0, 3)))]
+    b_blocks = [np.eye(My, Mu) + 0.3 * rng.normal(size=(My, Mu)) for _ in range(1 + seed % 2)]
+    plant = LTIPlant(a_blocks, b_blocks)
+    k0 = int(rng.integers(1, 4))
+    init = RegressorWindow(dims=plant.dims, k=k0, y_history=list(rng.normal(size=(k0, My))),
+                           u_history=list(rng.normal(size=(k0, Mu))))
+    weightings = [Weighting(rng.uniform(0.0, 1.0, Mu) * (i % 3 != 0)) for i in range(5)]
+    batch_matching_simulate(plant, StepReference(My, 0.5), 80, init, weightings)
+
+
+def rank_one_plant():
+    """Both outputs see u1 only, so the lead block [[1, 0], [1, 0]] has rank 1."""
+    return LTIPlant([0.5 * np.eye(2)], [np.array([[1.0, 0.0], [1.0, 0.0]])])
+
+
+def test_mixed_batch_takes_fallback_for_the_singular_row_only(monkeypatch):
+    plant = rank_one_plant()
+    weightings = [Weighting(np.array([0.5, 0.0])), Weighting(np.array([0.5, 0.5]))]
+    fallback = CountedSolveStep(monkeypatch)
+    batch = simulate_batch(plant, StepReference(2, 0.5), 40, zero_window(plant.dims), weightings)
+    assert fallback.calls == 39  # row 0 at every control step; row 1 stays on the stacked solve
+    monkeypatch.undo()
+    assert_rows_match_simulate(batch, plant, StepReference(2, 0.5), 40, zero_window(plant.dims))
+
+
+def test_batch_zero_weighting_on_rank_deficient_lead_raises():
+    plant = rank_one_plant()
+    weightings = [Weighting(np.array([0.5, 0.5])), Weighting.uniform(0.0, 2)]
+    with pytest.raises(RankDeficiencyError):
+        simulate(plant, "first_order", StepReference(2, 0.5), 10, zero_window(plant.dims), weightings[1])
+    with pytest.raises(RankDeficiencyError):
+        simulate_batch(plant, StepReference(2, 0.5), 10, zero_window(plant.dims), weightings)
+
+
+def test_batch_rejects_bad_setup_before_stepping():
+    plant = LTIPlant([0.5 * np.eye(2)], [np.eye(2)])
+    init = zero_window(plant.dims)
+    with pytest.raises(ShapeError):
+        simulate_batch(plant, UnsampledReference(), 10, init, [Weighting.uniform(0.1, 2), Weighting.uniform(0.1, 3)])
+    with pytest.raises(ValueError):
+        simulate_batch(plant, UnsampledReference(), 10, init, [])
+    with pytest.raises(ValueError):
+        simulate_batch(plant, UnsampledReference(), 3, zero_window(plant.dims, k=5), [Weighting.uniform(0.1, 2)])
+    with pytest.raises(ShapeError):
+        simulate_batch(plant, StepReference(3), 10, init, [Weighting.uniform(0.1, 2)])
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_batch_flags_nonfinite_perturbed_point(component):
+    plant = NaNAtOnePoint(component)
+    with pytest.raises(NonFiniteModelError) as err:
+        simulate_batch(plant, ZeroReference(2), 10, zero_window(plant.dims), [Weighting.uniform(0.1, 2)] * 2)
+    assert err.value.arg_index == component
+
+
+def test_batch_rejects_nonfinite_pseudo_jacobian_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved on a non-finite block")
+
+    monkeypatch.setattr(plant_module, "_stacked_solve_step", no_solve)
+    reference = SampleRecorder()
+    with warnings.catch_warnings():  # only the central difference itself may overflow
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="input block 1"):
+            simulate_batch(SteepStaticMap(), reference, 50, zero_window(Dimensions.preferred(1, 1, -1, 0)),
+                           [Weighting.uniform(0.1, 1), Weighting.uniform(0.5, 1)])
+    assert max(reference.sampled) == 2
+
+
+def test_batch_row_leaves_at_divergence_with_partial_records():
+    # the case of test_simulate_divergence_aborts_with_partial_log next to a row that stays bounded
+    plant = scalar_plant(a=3.0, b=1.0)
+    init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.array([1.0])], u_history=[np.zeros(1)])
+    batch = batch_matching_simulate(plant, ZeroReference(1), 60, init,
+                                    [Weighting.uniform(1e9, 1), Weighting.uniform(0.1, 1)])
+    assert list(batch.diverged_at) == [14, 0]
+    assert batch.length(0) == 13 and len(batch.log(0)) == 13
+    assert batch.length(1) == len(batch.log(1)) == 60
