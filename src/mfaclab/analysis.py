@@ -17,6 +17,7 @@ when every pole lies strictly inside the unit circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,12 +26,14 @@ from .edlm import PseudoJacobian
 from .errors import DegenerateLoopError, ShapeError, SingularMatrixError, UnstableLoopError
 
 STABILITY_MARGIN = 1.0e-9
-# T_0 (and a shifted pencil) counts as singular at or above this condition number.
+# T_0 (and a shifted pencil) counts as singular at or above this condition number, T(1) above it.
 SINGULAR_COND = 1.0e12
 # Shifts sigma tried for the pencil when T_0 is singular; the best-conditioned one is used.
 PENCIL_SHIFTS = (0.5, -0.75, 1.25, -1.5, 2.5)
 # Pencil eigenvalues 1/(z - sigma) at or below this share of the largest are poles at infinity.
 INFINITE_POLE_TOL = 1.0e-10
+# Distinct characteristic matrices whose analysis is kept (least recently used goes first).
+ANALYSIS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,49 @@ def _poles(T: np.ndarray) -> np.ndarray:
     return sigma + 1.0 / finite
 
 
+@lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
+def _analysed(shape: tuple[int, ...], data: bytes) -> tuple[StabilityReport, np.ndarray | None]:
+    """Verdict of the characteristic blocks with this shape and float64 content.
+
+    For a stable loop the entry also holds T(1) = T_0 + ... + T_d, read-only;
+    it holds None instead for an unstable loop, or when the condition number
+    of T(1) is non-finite or above SINGULAR_COND.  Raising calls
+    (DegenerateLoopError) are not cached.
+    """
+    T = np.frombuffer(data).reshape(shape)
+    roots = _poles(T)
+    if roots.size == 0:
+        report = StabilityReport(characteristic_roots=(), stable=True, margin=1.0)
+    else:
+        largest = float(np.max(np.abs(roots)))
+        report = StabilityReport(
+            characteristic_roots=tuple(complex(r) for r in roots),
+            stable=largest < 1.0 - STABILITY_MARGIN,
+            margin=1.0 - largest,
+        )
+    if not report.stable:
+        return report, None
+    T1 = T.sum(axis=0)
+    cond = np.linalg.cond(T1)
+    if not np.isfinite(cond) or cond > SINGULAR_COND:
+        return report, None
+    T1.setflags(write=False)
+    return report, T1
+
+
+def _analysis(T: np.ndarray) -> tuple[StabilityReport, np.ndarray | None]:
+    T = np.ascontiguousarray(T, dtype=float)
+    return _analysed(T.shape, T.tobytes())
+
+
 def stability_check(T: np.ndarray) -> StabilityReport:
     """Poles of the characteristic blocks T, and whether all lie inside the circle.
 
     A pole is accepted as stable only below 1 - STABILITY_MARGIN, so marginal
     loops classify unstable.  Raises DegenerateLoopError when det T vanishes
-    identically.
+    identically.  The poles are solved once per distinct T: the report comes
+    from a bounded cache keyed on T's shape and float64 content, which the
+    static errors share.
 
     Limit: when T_0 is singular only up to rounding and a pole at infinity
     has a Jordan chain, the pencil solve can report spurious huge poles
@@ -120,27 +160,16 @@ def stability_check(T: np.ndarray) -> StabilityReport:
     such a T may read unstable.  T from closed_loop_matrix can meet this only
     with at least two zero weighting entries.
     """
-    roots = _poles(np.asarray(T, dtype=float))
-    if roots.size == 0:
-        return StabilityReport(characteristic_roots=(), stable=True, margin=1.0)
-    largest = float(np.max(np.abs(roots)))
-    return StabilityReport(
-        characteristic_roots=tuple(complex(r) for r in roots),
-        stable=largest < 1.0 - STABILITY_MARGIN,
-        margin=1.0 - largest,
-    )
+    return _analysis(T)[0]
 
 
 def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.ndarray]:
-    T = closed_loop_matrix(pjm, w)
-    report = stability_check(T)
+    report, T1 = _analysis(closed_loop_matrix(pjm, w))
     if not report.stable:
         raise UnstableLoopError(
             f"static error is undefined for an unstable loop (margin {report.margin:.3e})"
         )
-    T1 = T.sum(axis=0)
-    cond = np.linalg.cond(T1)
-    if not np.isfinite(cond) or cond > 1.0e12:
+    if T1 is None:
         raise SingularMatrixError("characteristic matrix is singular at z = 1")
     phi_y1 = sum(pjm.output_blocks, start=np.zeros((pjm.My, pjm.My)))
     return T1, phi_y1

@@ -181,6 +181,25 @@ def _cost(phi_u: np.ndarray, entries: np.ndarray, residual: np.ndarray, delta_u:
     return float(miss @ miss + delta_u @ (entries * delta_u))
 
 
+def _takes_min_norm(phi_u: np.ndarray, entries: np.ndarray):
+    """Zero weighting on a lead block with more inputs than outputs, where Phi^T Phi is singular by shape.
+
+    Stacked operands (leading row axis) give one flag per row.
+    """
+    return phi_u.shape[-1] > phi_u.shape[-2] and ~entries.any(axis=-1)
+
+
+def _min_norm_increment(phi_u: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Minimum-norm du with phi_u du = residual; fewer independent rows than outputs is an error."""
+    rank = int(np.linalg.matrix_rank(phi_u))
+    if rank < phi_u.shape[0]:
+        raise RankDeficiencyError(
+            f"lead block rank {rank} cannot reach all {phi_u.shape[0]} outputs with zero weighting",
+            rank=rank,
+        )
+    return np.linalg.lstsq(phi_u, residual, rcond=None)[0]
+
+
 def _solve_step(
     output_blocks: Sequence[np.ndarray],
     input_blocks: Sequence[np.ndarray],
@@ -194,22 +213,19 @@ def _solve_step(
     """Core of mfac_step on validated operands; penalty is diag(entries)."""
     phi_u = input_blocks[0]
     residual = _history_residual(output_blocks, input_blocks, ys, us, y_now, y_ref)
-    A = phi_u.T @ phi_u + penalty
-    b = phi_u.T @ residual
-    try:
-        np.linalg.cholesky(A)
-        delta_u = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        if np.all(entries == 0.0):
-            rank = int(np.linalg.matrix_rank(phi_u))
-            if rank < phi_u.shape[0]:
-                raise RankDeficiencyError(
-                    f"lead block rank {rank} cannot reach all {phi_u.shape[0]} outputs with zero weighting",
-                    rank=rank,
-                )
-            delta_u = np.linalg.lstsq(phi_u, residual, rcond=None)[0]
-        else:
-            delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
+    if _takes_min_norm(phi_u, entries):
+        delta_u = _min_norm_increment(phi_u, residual)
+    else:
+        A = phi_u.T @ phi_u + penalty
+        b = phi_u.T @ residual
+        try:
+            np.linalg.cholesky(A)
+            delta_u = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            if np.all(entries == 0.0):
+                delta_u = _min_norm_increment(phi_u, residual)
+            else:
+                delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
     return ControlDecision(
         delta_u=delta_u,
         u=us[0] + delta_u,
@@ -230,9 +246,11 @@ def mfac_step(
 ) -> ControlDecision:
     """Unconstrained one-step law: solve (Phi^T Phi + L) du = Phi^T residual.
 
-    Falls back to the minimum-norm least-squares increment when the weighting
-    is zero and the lead block is rank deficient in its columns but still
-    spans the outputs; fewer independent rows than outputs is an error.
+    Takes the minimum-norm least-squares increment when the weighting is zero
+    and the lead block is rank deficient in its columns but still spans the
+    outputs: always when it has more inputs than outputs, otherwise when the
+    normal equations fail to factor.  Fewer independent rows than outputs is
+    an error.
     """
     y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
     return _solve_step(
@@ -329,11 +347,13 @@ def _quartic_step(
     args is the linearization point at step k-1.  The first-order blocks and
     the slot Hessians do not depend on the iterate, so they are computed once;
     each pass only redoes the half-Hessian correction and the quadratic solve.
+    A non-finite first-order block raises ValueError before the first solve.
     """
     dims = model.dims
     n_y = dims.ny + 1
     blocks = _first_order_blocks(model, args)
     out_blocks, in_blocks = _padded_blocks(dims, blocks)
+    _check_finite(out_blocks, in_blocks)
     delta_u = _solve_step(out_blocks, in_blocks, ys, us, y_now, y_ref, entries, penalty).delta_u
     hessians = _slot_hessians(model, args)
     committed = [ys[i] - ys[i + 1] for i in range(n_y)]

@@ -17,6 +17,7 @@ from .controller import (
     _check_box,
     _quartic_step,
     _solve_step,
+    _takes_min_norm,
 )
 from .edlm import (
     DifferentiableModel,
@@ -295,7 +296,8 @@ def simulate(
     The arguments are validated here, once; the loop then calls the control
     laws' cores on plain history lists and checks only what each step brings
     in: plant outputs, reference samples, the divergence limit, and the
-    finiteness of the step's pseudo-Jacobian blocks (ValueError otherwise).
+    finiteness of the step's pseudo-Jacobian blocks (ValueError otherwise),
+    checked before the law solves on them.
     """
     if controller_variant not in VARIANTS:
         raise ValueError(f"unknown controller variant {controller_variant!r}, expected one of {VARIANTS}")
@@ -351,14 +353,16 @@ def simulate(
             # Linearization point at step k-1.
             args = y_hist[1:1 + n_y] + u_hist[:n_u]
             if controller_variant == "quartic":
+                # Checks its first-order blocks before its first solve; the corrected ones after.
                 step = _quartic_step(plant, args, y_hist, u_hist, y_now, target, entries, penalty)
+                _check_finite(step.output_blocks, step.input_blocks)
             else:
                 blocks = _padded_blocks(dims, _first_order_blocks(plant, args))
+                _check_finite(*blocks)
                 if controller_variant == "constrained":
                     step = _box_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty, box)
                 else:
                     step = _solve_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty)
-            _check_finite(step.output_blocks, step.input_blocks)
         else:  # the final row holds the last input and the last step's blocks
             step = step._replace(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0)
         log.records.append(
@@ -442,9 +446,10 @@ def _stacked_solve_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """_solve_step on a stack of rows: (delta_u, cost), each row with the bits of its own call.
 
-    Every operand but the shared y_ref has a leading row axis.  Rows whose
-    Cholesky check or solve fails go through _solve_step itself, one by one,
-    so its fallback has one implementation.
+    Every operand but the shared y_ref has a leading row axis.  Rows that
+    take the minimum-norm increment by shape, and rows whose Cholesky check
+    or solve fails, go through _solve_step itself, one by one, so its
+    fallback has one implementation.
     """
     phi_u = input_blocks[0]
     r = y_ref - y_now
@@ -455,13 +460,15 @@ def _stacked_solve_step(
     phi_t = phi_u.transpose(0, 2, 1)
     A = np.matmul(phi_t, phi_u) + penalty
     b = _stacked_mv(phi_t, r)
-    fallback = []
+    fallback = list(np.flatnonzero(_takes_min_norm(phi_u, entries)))
+    if fallback:
+        A[fallback] = np.eye(A.shape[1])  # placeholders, so that the stacked solve covers the other rows
     try:
         np.linalg.cholesky(A)
         delta_u = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        fallback = [i for i in range(A.shape[0]) if _solve_fails(A[i], b[i])]
-        A[fallback] = np.eye(A.shape[1])  # placeholders, so that the stacked solve covers the other rows
+        fallback += [i for i in range(A.shape[0]) if _solve_fails(A[i], b[i])]  # placeholder rows solve
+        A[fallback] = np.eye(A.shape[1])
         delta_u = np.linalg.solve(A, b[..., None])[..., 0]
     miss = r - _stacked_mv(phi_u, delta_u)
     cost = _stacked_dot(miss, miss) + _stacked_dot(delta_u, entries * delta_u)

@@ -365,10 +365,39 @@ LOOPS = {
 }
 
 
+# Criterion 8's grid, chosen off the exact flip points so verdicts never sit
+# on a root-rounding knife edge.
+CRITERION_8_GRID = [round(0.05 + 0.1 * i, 2) for i in range(30)]
+
+
+def flip_points(a_blocks, b_blocks):
+    """Exact stability boundaries lambda* = b^2 / (a - 1) of the diagonal scalar loops with a > 1.
+
+    Each loop has Ly = Lu = 1 and triangular A with diagonal B, so its poles
+    are those of the scalar loops on the diagonal; the scalar loop's
+    characteristic polynomial is (lam + b^2) z^2 - lam (1 + a) z + lam a.
+    """
+    A, B = np.asarray(a_blocks, dtype=float), np.asarray(b_blocks, dtype=float)
+    assert np.array_equal(A, np.triu(A)) and np.array_equal(B, np.diag(np.diag(B)))
+    return [b * b / (a - 1.0) for a, b in zip(np.diag(A), np.diag(B)) if a > 1.0]
+
+
+def test_criterion_8_grid_lies_off_the_exact_flip_points():
+    stars = {name: flip_points(*blocks) for name, blocks in LOOPS.items()}
+    assert stars == {"scalar": [], "unstable-scalar": [1.0], "mimo2": [0.5]}
+    for name, (a_blocks, b_blocks) in LOOPS.items():
+        pjm = PseudoJacobian((np.asarray(a_blocks, dtype=float),), (np.asarray(b_blocks, dtype=float),))
+        for star in stars[name]:
+            # 0.05 up to the rounding of the decimal grid values
+            assert min(abs(lam - star) for lam in CRITERION_8_GRID) >= 0.05 - 1e-12, name
+            below = Weighting.uniform(star * (1.0 - 1e-6), pjm.My)
+            above = Weighting.uniform(star * (1.0 + 1e-6), pjm.My)
+            assert stability_check(closed_loop_matrix(pjm, below)).stable, name
+            assert not stability_check(closed_loop_matrix(pjm, above)).stable, name
+
+
 def test_criterion_8_stability_oracle_agrees_with_simulation():
-    # grid chosen off the exact flip points so verdicts never sit on a
-    # root-rounding knife edge
-    grid = [round(0.05 + 0.1 * i, 2) for i in range(30)]
+    grid = CRITERION_8_GRID
     disagreements = []
     for name, (a_blocks, b_blocks) in LOOPS.items():
         plant = LTIPlant([a_blocks], [b_blocks])

@@ -1,9 +1,12 @@
 """Tests for the frozen-loop characteristic matrix, roots, and static errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfaclab import analysis
 from mfaclab.analysis import (
     closed_loop_matrix,
     ramp_static_error,
@@ -12,7 +15,7 @@ from mfaclab.analysis import (
 )
 from mfaclab.controller import Weighting
 from mfaclab.edlm import PseudoJacobian, RegressorWindow
-from mfaclab.errors import DegenerateLoopError, ShapeError, UnstableLoopError
+from mfaclab.errors import DegenerateLoopError, ShapeError, SingularMatrixError, UnstableLoopError
 from mfaclab.plant import LTIPlant, StepReference, simulate
 
 
@@ -271,3 +274,104 @@ def test_step_error_zero_2x2_with_simulation_oracle():
     log = simulate(plant, "first_order", StepReference(2), 10000, init, w)
     last = log.records[-1]
     assert np.linalg.norm(last.y_ref - last.y) <= 1e-6
+
+
+# --------------------------------------------------- one analysis per loop
+
+
+@pytest.fixture
+def pole_solves(monkeypatch):
+    """Empty analysis cache; the list collects the T of every _poles call."""
+    analysis._analysed.cache_clear()
+    seen = []
+    poles = analysis._poles
+
+    def counted(T):
+        seen.append(T)
+        return poles(T)
+
+    monkeypatch.setattr(analysis, "_poles", counted)
+    yield seen
+    analysis._analysed.cache_clear()
+
+
+def test_verdict_and_both_static_errors_solve_the_poles_once(pole_solves):
+    pjm = PseudoJacobian((np.array([[0.3, 0.1], [0.0, 0.2]]),), (np.eye(2), 0.5 * np.eye(2)))
+    w = Weighting(np.array([0.1, 0.4]))
+    report = stability_check(closed_loop_matrix(pjm, w))
+    assert report.stable
+    ramp_static_error(pjm, w, Ts=1.0)
+    step_static_error(pjm, w)
+    assert len(pole_solves) == 1
+
+
+def test_cache_is_keyed_on_content_not_identity(pole_solves):
+    T = closed_loop_matrix(scalar_pjm(b=1.0, a=0.5), Weighting(np.array([0.2])))
+    report = stability_check(T)
+    assert stability_check(T.copy()) is report
+    assert stability_check(np.asfortranarray(T.tolist())) is report
+    assert len(pole_solves) == 1
+    nudged = T.copy()
+    nudged[0, 0, 0] = np.nextafter(nudged[0, 0, 0], np.inf)
+    assert stability_check(nudged) is not report
+    assert len(pole_solves) == 2
+
+
+def test_report_is_frozen_with_tuple_roots():
+    report = stability_check(closed_loop_matrix(scalar_pjm(b=1.0, a=0.5), Weighting(np.array([0.2]))))
+    assert isinstance(report.characteristic_roots, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.stable = False
+
+
+def test_unstable_loop_raises_on_every_repeat_call(pole_solves):
+    pjm = scalar_pjm(b=1.0, a=3.0)
+    w = Weighting(np.array([1.0]))
+    for _ in range(3):
+        with pytest.raises(UnstableLoopError, match="unstable loop"):
+            ramp_static_error(pjm, w, Ts=1.0)
+        with pytest.raises(UnstableLoopError, match="unstable loop"):
+            step_static_error(pjm, w)
+    assert len(pole_solves) == 1
+
+
+def test_singular_gate_at_one_raises_on_every_repeat_call(pole_solves):
+    # Stable (largest pole 1 - 1e-8) while cond T(1) = cond(B B^T) = 1e14.
+    pjm = PseudoJacobian((), (np.diag([1.0, 1.0e-7]),))
+    w = Weighting(np.full(2, 1.0e-6))
+    assert stability_check(closed_loop_matrix(pjm, w)).stable
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError, match="singular at z = 1"):
+            ramp_static_error(pjm, w, Ts=1.0)
+        with pytest.raises(SingularMatrixError, match="singular at z = 1"):
+            step_static_error(pjm, w)
+    assert len(pole_solves) == 1
+
+
+def test_degenerate_loop_raises_on_every_repeat_call(pole_solves):
+    T = np.zeros((1, 2, 2))
+    for _ in range(3):
+        with pytest.raises(DegenerateLoopError):
+            stability_check(T)
+    assert len(pole_solves) == 3
+
+
+def test_cached_matrix_at_one_is_read_only():
+    pjm = scalar_pjm(b=1.0, a=0.5)
+    T1, _ = analysis._static_matrices(pjm, Weighting(np.array([0.2])))
+    assert not T1.flags.writeable
+    with pytest.raises(ValueError):
+        T1[0, 0] = 0.0
+
+
+def test_analysis_cache_bound_is_the_module_constant(pole_solves):
+    assert analysis._analysed.cache_info().maxsize == analysis.ANALYSIS_CACHE_SIZE
+    loops = [np.array([[[1.0]], [[-0.5 * (i + 1) / (analysis.ANALYSIS_CACHE_SIZE + 1)]]])
+             for i in range(analysis.ANALYSIS_CACHE_SIZE + 1)]
+    for T in loops:
+        stability_check(T)
+    assert analysis._analysed.cache_info().currsize == analysis.ANALYSIS_CACHE_SIZE
+    stability_check(loops[-1])  # still held
+    assert len(pole_solves) == analysis.ANALYSIS_CACHE_SIZE + 1
+    stability_check(loops[0])  # the least recently used one was dropped
+    assert len(pole_solves) == analysis.ANALYSIS_CACHE_SIZE + 2

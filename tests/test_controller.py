@@ -140,6 +140,22 @@ def test_step_minimum_norm_fallback_for_wide_block():
     assert_allclose(dec.delta_u, [0.5, 0.5], atol=1e-12)
 
 
+def test_step_minimum_norm_on_random_wide_blocks():
+    # Zero weighting on a 1x2 lead block: Phi^T Phi is singular by shape, so
+    # the increment is the minimum-norm one whether or not rounding lets the
+    # normal equations factor.
+    rng = np.random.default_rng(11)
+    dims = Dimensions(My=1, Mu=2, Ly=0, Lu=1)
+    win = window(dims, 2, [np.zeros(1)], [np.zeros(2)])
+    longer = []
+    for i in range(2000):
+        phi = np.eye(1, 2) + 0.3 * rng.normal(size=(1, 2))
+        dec = mfac_step(PseudoJacobian((), (phi,)), win, np.zeros(1), np.ones(1), Weighting(np.zeros(2)))
+        if not np.array_equal(dec.delta_u, np.linalg.lstsq(phi, np.ones(1), rcond=None)[0]):
+            longer.append(i)
+    assert longer == []
+
+
 def test_step_damping_shrinks_increment():
     pjm, win, _ = scalar_setup(phi=1.5, lam=0.0)
     norms = []

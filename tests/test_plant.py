@@ -699,16 +699,20 @@ def test_simulate_rejects_nonfinite_pseudo_jacobian_at_first_step(variant):
     plant = SteepStaticMap()
     reference = SampleRecorder()
     box = BoxConstraints(lower=-np.ones(1), upper=np.ones(1)) if variant == "constrained" else None
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="input block 1"):
-        simulate(plant, variant, reference, 50, zero_window(plant.dims), Weighting.uniform(0.1, 1), box=box)
+    with warnings.catch_warnings():  # only the central difference itself may overflow
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="input block 1"):
+            simulate(plant, variant, reference, 50, zero_window(plant.dims), Weighting.uniform(0.1, 1), box=box)
     assert max(reference.sampled) == 2  # step 1 samples its own target and the next one only
 
 
 def test_quartic_law_rejects_nonfinite_pseudo_jacobian():
     plant = SteepStaticMap()
     window = zero_window(plant.dims, k=2)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="input block 1"):
-        mfac_quartic_step(plant, window, np.zeros(1), np.array([0.5]), Weighting.uniform(0.1, 1))
+    with warnings.catch_warnings():  # only the central difference itself may overflow
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="input block 1"):
+            mfac_quartic_step(plant, window, np.zeros(1), np.array([0.5]), Weighting.uniform(0.1, 1))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -827,6 +831,19 @@ def test_mixed_batch_takes_fallback_for_the_singular_row_only(monkeypatch):
     assert fallback.calls == 39  # row 0 at every control step; row 1 stays on the stacked solve
     monkeypatch.undo()
     assert_rows_match_simulate(batch, plant, StepReference(2, 0.5), 40, zero_window(plant.dims))
+
+
+def test_batch_takes_minimum_norm_for_every_zero_weighted_wide_row(monkeypatch):
+    # Mu > My under zero weighting: the minimum-norm increment of _solve_step
+    # at every step, whether or not the stacked Cholesky check passes (on this
+    # block it passes by rounding at most steps)
+    plant = LTIPlant([np.array([[0.4]])], [np.array([[1.12, 0.25]])])
+    weightings = [Weighting(np.zeros(2)), Weighting(np.array([0.2, 0.1])), Weighting(np.zeros(2))]
+    fallback = CountedSolveStep(monkeypatch)
+    batch = simulate_batch(plant, StepReference(1, 0.5), 30, zero_window(plant.dims), weightings)
+    assert fallback.calls == 2 * 29  # rows 0 and 2 at every control step
+    monkeypatch.undo()
+    assert_rows_match_simulate(batch, plant, StepReference(1, 0.5), 30, zero_window(plant.dims))
 
 
 def test_batch_zero_weighting_on_rank_deficient_lead_raises():
