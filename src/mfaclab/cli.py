@@ -44,7 +44,6 @@ from .kinematics import (
 )
 from .pathgen import (
     PathSpec,
-    SegmentBoundary,
     euler_to_quat,
     generate_path,
     quat_geodesic,
@@ -199,8 +198,8 @@ def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
     steps = _parse_int(merged["steps"], "steps") if "steps" in merged else (
         800 if experiment == "example1" else 5000
     )
-    if experiment == "example1" and steps < 3:
-        raise ConfigError("example1 needs steps >= 3 to cover its pinned warm-up rows")
+    if experiment == "example1" and not 3 <= steps <= 800:
+        raise ConfigError("example1 needs 3 <= steps <= 800: its pinned warm-up rows and its reference's samples")
     if experiment == "lambda-sweep" and steps < 2:
         raise ConfigError("sweep needs steps >= 2")
 
@@ -255,9 +254,8 @@ def _svg_chart(
     x_label: str,
     y_label: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    width: int = 760,
-    height: int = 440,
 ) -> str:
+    width, height = 760, 440
     left, right, top, bottom = 64.0, 180.0, 42.0, 52.0
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -474,11 +472,7 @@ def run_example2(cfg: ExperimentConfig) -> int:
         start = _blend_task(frame_a, frame_c, cfg.start_fraction)
         goal = _blend_task(frame_a, frame_c, cfg.goal_fraction)
 
-    rest = SegmentBoundary(0.0, 0.0, 0.0, 0.0)
-    path = generate_path(
-        PathSpec(start=start, goal=goal, tf=cfg.tf, T0=cfg.t0,
-                 position_boundary=rest, orientation_boundary=rest)
-    )
+    path = generate_path(PathSpec(start=start, goal=goal, tf=cfg.tf, T0=cfg.t0))
 
     header = (
         ["t", "x", "y", "z", "alpha", "beta", "gamma",

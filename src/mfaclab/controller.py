@@ -92,33 +92,6 @@ class BoxConstraints:
         return np.clip(u, self.lower, self.upper)
 
 
-def _damping(cond: float) -> float:
-    """Damping value that lambda_schedule puts on every entry."""
-    if not np.isfinite(cond) or cond >= 20000.0:
-        return 0.1
-    if cond >= 5000.0:
-        return 0.05
-    return 0.0
-
-
-def lambda_schedule(cond: float, size: int = 1) -> Weighting:
-    """Damping stepped up with the conditioning of the lead block.
-
-    cond < 5000 -> 0; 5000 <= cond < 20000 -> 0.05; cond >= 20000 or
-    non-finite -> 0.1.  Boundary values take the larger damping.
-    """
-    return Weighting.uniform(_damping(cond), size)
-
-
-def condition_number(m: np.ndarray) -> float:
-    """Ratio of extreme singular values; infinite for rank-deficient input."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[-1] < 1.0e-300:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
 class ControlDecision(NamedTuple):
     """One control step: increment, absolute input, diagnostics, and the blocks it used."""
 

@@ -8,8 +8,8 @@ increment satisfies
 
 where dH(k) stacks [dy(k) ... dy(k-Ly+1), du(k) ... du(k-Lu+1)] and Phi_L
 collects Ly blocks of shape (My, My) followed by Lu blocks of shape (My, Mu).
-This module builds the regressor vectors and the first- and second-order
-pseudo-Jacobian approximations from a differentiable model.
+This module holds the regressor windows and builds the first- and
+second-order pseudo-Jacobian approximations from a differentiable model.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class DifferentiableModel(ABC):
             raise ShapeError(f"model returned shape {y.shape}, expected ({self.dims.My},)")
         if not np.isfinite(y).all():
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise NonFiniteModelError(f"model output component {bad} is non-finite", arg_index=bad)
+            raise NonFiniteModelError(f"model output component {bad} is non-finite", component=bad)
         return y
 
     def _checked_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
@@ -240,24 +240,8 @@ class DifferentiableModel(ABC):
         finite = np.isfinite(F)
         if not finite.all():
             bad = int(np.argwhere(~finite)[0, 1])
-            raise NonFiniteModelError(f"model output component {bad} is non-finite", arg_index=bad)
+            raise NonFiniteModelError(f"model output component {bad} is non-finite", component=bad)
         return F
-
-
-def build_delta_regressor(window_now: RegressorWindow, window_prev: RegressorWindow) -> np.ndarray:
-    """Stacked increment vector dH(k) between two aligned history windows."""
-    dims = window_now.dims
-    if window_prev.dims != dims:
-        raise ShapeError(f"window dimensions disagree: {dims} vs {window_prev.dims}")
-    if len(window_now.y_history) < dims.Ly or len(window_prev.y_history) < dims.Ly:
-        raise ShapeError(f"need {dims.Ly} output samples per window for dH")
-    if len(window_now.u_history) < dims.Lu or len(window_prev.u_history) < dims.Lu:
-        raise ShapeError(f"need {dims.Lu} input samples per window for dH")
-    parts = [window_now.y_history[i] - window_prev.y_history[i] for i in range(dims.Ly)]
-    parts += [window_now.u_history[j] - window_prev.u_history[j] for j in range(dims.Lu)]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
 
 
 def predict_delta_output(pjm: PseudoJacobian, delta_regressor: np.ndarray) -> np.ndarray:

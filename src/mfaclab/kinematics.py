@@ -5,6 +5,9 @@ frame i-1 to frame i is RotX(alpha_{i-1}) TransX(a_{i-1}) RotZ(theta_i)
 TransZ(d_i).  Positions are millimetres, angles radians.  The task vector is
 [x, y, z, alpha, beta, gamma] with fixed-axis X-Y-Z Euler angles, i.e. the
 rotation Rz(gamma) Ry(beta) Rx(alpha).
+
+ik_solve takes at most DEFAULT_ITERATION_CAP damped least-squares steps toward
+POSITION_TOL and ORIENTATION_TOL, damped from the Jacobian's condition (_damping).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import _damping, condition_number
 from .errors import InvalidRotationError, ShapeError
 
 POSITION_TOL = 1.0e-3  # mm
@@ -50,11 +52,6 @@ class DHRow:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-
-
-def dh_transform(row: DHRow, q: float = 0.0) -> Pose:
-    """Link transform of one table row at joint angle q."""
-    return Pose.from_homogeneous(row.transform(q))
 
 
 @dataclass(frozen=True)
@@ -107,12 +104,6 @@ class Pose:
         T = np.asarray(T, dtype=float)
         return cls(rotation=T[:3, :3], position=T[:3, 3])
 
-    def homogeneous(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.position
-        return T
-
 
 @dataclass(frozen=True)
 class TaskVector:
@@ -127,13 +118,6 @@ class TaskVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.alpha, self.beta, self.gamma])
-
-    @classmethod
-    def from_array(cls, v: Sequence[float]) -> "TaskVector":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (6,):
-            raise ShapeError(f"task vector needs 6 entries, got shape {v.shape}")
-        return cls(*[float(x) for x in v])
 
     @property
     def position(self) -> np.ndarray:
@@ -299,19 +283,31 @@ def _jacobian(chain: KinematicChain, frames: list[np.ndarray]) -> np.ndarray:
 
 
 def pose_and_jacobian(chain: KinematicChain, q: Sequence[float]) -> tuple[Pose, np.ndarray]:
-    """Tool pose and task Jacobian at q from a single chain pass."""
+    """Tool pose and geometric Jacobian (tool linear over angular velocity, base frame) at q from one chain pass."""
     frames = _chain_frames(chain, np.asarray(q, dtype=float))
     return Pose.from_homogeneous(frames[-1]), _jacobian(chain, frames)
 
 
-def task_jacobian(chain: KinematicChain, q: Sequence[float]) -> np.ndarray:
-    """Closed-form 6xN task Jacobian: linear velocity of the tool origin over
-    angular velocity in the base frame, per unit joint rate.
+def condition_number(m: np.ndarray) -> float:
+    """Ratio of extreme singular values; infinite for rank-deficient input."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size == 0 or s[-1] < 1.0e-300:
+        return float("inf")
+    return float(s[0] / s[-1])
 
-    Column j is [z_j x (p_e - p_j); z_j] with z_j, p_j the axis and origin of
-    joint j and p_e the tool origin (the geometric Jacobian).
+
+def _damping(cond: float) -> float:
+    """Damping stepped up with the conditioning of the Jacobian.
+
+    cond < 5000 -> 0; 5000 <= cond < 20000 -> 0.05; cond >= 20000 or
+    non-finite -> 0.1.  Boundary values take the larger damping.
     """
-    return _jacobian(chain, _chain_frames(chain, np.asarray(q, dtype=float)))
+    if not np.isfinite(cond) or cond >= 20000.0:
+        return 0.1
+    if cond >= 5000.0:
+        return 0.05
+    return 0.0
 
 
 def _damped_step(J: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -324,33 +320,14 @@ def _damped_step(J: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, float
     return delta_q, cond, lam
 
 
-def ik_step(chain: KinematicChain, q: Sequence[float], target: Pose) -> tuple[np.ndarray, float]:
-    """One damped least-squares update toward the target pose.
-
-    Returns the joint increment and the Jacobian condition number the damping
-    was scheduled from.  Raises on a non-finite solve.
-    """
-    frames = _chain_frames(chain, np.asarray(q, dtype=float))
-    e = _task_error(frames[-1], _require_rotation(target.rotation), target.position)
-    delta_q, cond, _ = _damped_step(_jacobian(chain, frames), e)
-    return delta_q, cond
-
-
-def ik_solve(
-    chain: KinematicChain,
-    q_seed: Sequence[float],
-    target: Pose,
-    cap: int = DEFAULT_ITERATION_CAP,
-    position_tol: float = POSITION_TOL,
-    orientation_tol: float = ORIENTATION_TOL,
-) -> IKResult:
+def ik_solve(chain: KinematicChain, q_seed: Sequence[float], target: Pose) -> IKResult:
     """Iterate damped least-squares steps until the pose error is inside tolerance.
 
     Each iteration makes one chain pass; the convergence check, the task error
     and the closed-form Jacobian of the step all come from it, so a solve makes
     iterations + 1 passes.  The target rotation is validated once.
     Convergence is checked before each step, so a seed already at the target
-    reports zero iterations.  Hitting the iteration cap returns the last
+    reports zero iterations.  Hitting DEFAULT_ITERATION_CAP returns the last
     iterate flagged non-converged rather than raising.
     """
     q = np.asarray(q_seed, dtype=float).copy()
@@ -361,15 +338,15 @@ def ik_solve(
     converged = False
     pos_err = math.inf
     ori_err = math.inf
-    for _ in range(cap + 1):
+    for _ in range(DEFAULT_ITERATION_CAP + 1):
         frames = _chain_frames(chain, q)
         e = _task_error(frames[-1], rotation, target.position)
         pos_err = float(np.linalg.norm(e[:3]))
         ori_err = float(np.linalg.norm(e[3:]))
-        if pos_err < position_tol and ori_err < orientation_tol:
+        if pos_err < POSITION_TOL and ori_err < ORIENTATION_TOL:
             converged = True
             break
-        if iterations == cap:
+        if iterations == DEFAULT_ITERATION_CAP:
             break
         delta_q, cond, lam = _damped_step(_jacobian(chain, frames), e)
         q = q + delta_q

@@ -1,5 +1,9 @@
 """Cartesian path generation: quintic timing laws over straight-line position
-segments and geodesic (great-circle) quaternion orientation segments."""
+segments and geodesic (great-circle) quaternion orientation segments.
+
+Paths run rest to rest, with zero speed and acceleration at both ends of both
+arcs; quintic_solve itself takes any boundary values.
+"""
 
 from __future__ import annotations
 
@@ -189,25 +193,13 @@ def quat_geodesic(q0: UnitQuaternion, qf: UnitQuaternion, tau: float) -> UnitQua
 
 
 @dataclass(frozen=True)
-class SegmentBoundary:
-    """Speed and acceleration boundary values for one timing polynomial."""
-
-    v0: float = 0.0
-    acc0: float = 0.0
-    vf: float = 0.0
-    accf: float = 0.0
-
-
-@dataclass(frozen=True)
 class PathSpec:
-    """Start/goal task vectors, duration tf, sample period T0, and boundaries."""
+    """Start/goal task vectors, duration tf, and sample period T0."""
 
     start: TaskVector
     goal: TaskVector
     tf: float
     T0: float
-    position_boundary: SegmentBoundary = SegmentBoundary()
-    orientation_boundary: SegmentBoundary = SegmentBoundary()
 
     def __post_init__(self):
         if self.tf <= 0.0:
@@ -239,8 +231,8 @@ def generate_path(spec: PathSpec) -> CartesianPath:
 
     Position runs along the chord from start to goal; orientation follows the
     constant-axis quaternion arc between the endpoint orientations.  Both arcs
-    use their own quintic timing law, so rest-to-rest boundaries give zero
-    endpoint speed in position and orientation alike.
+    use their own rest-to-rest quintic timing law, so the endpoint speed is
+    zero in position and orientation alike.
     """
     p0 = spec.start.position
     pf = spec.goal.position
@@ -250,12 +242,8 @@ def generate_path(spec: PathSpec) -> CartesianPath:
     arc = orientation_arc_length(q0, qf)
     if chord == 0.0 and arc < GEODESIC_TOL:
         raise ValueError("start and goal coincide in both position and orientation")
-    pb = spec.position_boundary
-    ob = spec.orientation_boundary
-    if chord == 0.0 and any(v != 0.0 for v in (pb.v0, pb.acc0, pb.vf, pb.accf)):
-        raise DegenerateDirectionError("pure-rotation path cannot carry position boundary speeds")
-    timing_p = quintic_solve(chord, pb.v0, pb.acc0, pb.vf, pb.accf, spec.tf)
-    timing_o = quintic_solve(arc, ob.v0, ob.acc0, ob.vf, ob.accf, spec.tf)
+    timing_p = quintic_solve(chord, tf=spec.tf)
+    timing_o = quintic_solve(arc, tf=spec.tf)
 
     count = math.ceil(spec.tf / spec.T0) + 1
     times = np.minimum(np.arange(count) * spec.T0, spec.tf)

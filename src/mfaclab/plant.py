@@ -272,6 +272,36 @@ def _padded(history: Sequence[np.ndarray], depth: int, size: int) -> list[np.nda
     return out
 
 
+def _reference_sample(reference: ReferenceSignal, k: int, size: int) -> np.ndarray:
+    sample = np.atleast_1d(np.asarray(reference.sample(k), dtype=float))
+    if sample.shape != (size,):
+        raise ShapeError(f"reference samples must have shape ({size},), got {sample.shape}")
+    return sample
+
+
+def _start(plant: DifferentiableModel, reference: ReferenceSignal, steps: int, init: RegressorWindow,
+           weightings: Sequence[Weighting]) -> tuple[int, list, list, list]:
+    """The argument checks and the start state shared by simulate and simulate_batch.
+
+    Returns k0 = init.k, the init histories zero-padded to the depth the step
+    loop reads, and the checked reference samples of steps 1 to k0.
+    """
+    dims = plant.dims
+    if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
+        raise ShapeError("init window signal sizes do not match the plant")
+    _check_orders(dims)
+    for w in weightings:
+        if w.size != dims.Mu:
+            raise ShapeError(f"weighting has {w.size} entries, expected {dims.Mu}")
+    k0 = init.k
+    if not 1 <= k0 <= steps:
+        raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
+    y_hist = _padded(init.y_history, max(dims.Ly + 2, dims.ny + 3, k0 + 1), dims.My)
+    u_hist = _padded(init.u_history, max(dims.Lu + 1, dims.nu + 2, k0), dims.Mu)
+    refs = [_reference_sample(reference, k, dims.My) for k in range(1, k0 + 1)]
+    return k0, y_hist, u_hist, refs
+
+
 def simulate(
     plant: DifferentiableModel,
     controller_variant: str,
@@ -295,30 +325,18 @@ def simulate(
 
     The arguments are validated here, once; the loop then calls the control
     laws' cores on plain history lists and checks only what each step brings
-    in: plant outputs, reference samples, the divergence limit, and the
-    finiteness of the step's pseudo-Jacobian blocks (ValueError otherwise),
-    checked before the law solves on them.
+    in: plant outputs, reference samples (the pre-history ones too), the
+    divergence limit, and the finiteness of the step's pseudo-Jacobian blocks
+    (ValueError otherwise), checked before the law solves on them.
     """
     if controller_variant not in VARIANTS:
         raise ValueError(f"unknown controller variant {controller_variant!r}, expected one of {VARIANTS}")
     if controller_variant == "constrained" and box is None:
         raise ValueError("constrained variant requires box constraints")
     dims = plant.dims
-    if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
-        raise ShapeError("init window signal sizes do not match the plant")
-    _check_orders(dims)
-    if w.size != dims.Mu:
-        raise ShapeError(f"weighting has {w.size} entries, expected {dims.Mu}")
     if controller_variant == "constrained":
         _check_box(box, dims.Mu)
-    k0 = init.k
-    if not 1 <= k0 <= steps:
-        raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
-
-    depth_y = max(dims.Ly + 2, dims.ny + 3, k0 + 1)
-    depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
-    y_hist = _padded(init.y_history, depth_y, dims.My)
-    u_hist = _padded(init.u_history, depth_u, dims.Mu)
+    k0, y_hist, u_hist, refs = _start(plant, reference, steps, init, (w,))
     n_y = dims.ny + 1
     n_u = dims.nu + 1
     entries = w.entries
@@ -333,23 +351,20 @@ def simulate(
         u_k = u_hist[k0 - 1 - k]
         du = u_k - u_hist[k0 - k]
         log.records.append(
-            SimRecord(k=k, y=y_k, y_ref=reference.sample(k), u=u_k, delta_u=du,
+            SimRecord(k=k, y=y_k, y_ref=refs[k - 1], u=u_k, delta_u=du,
                       output_blocks=seed.output_blocks, input_blocks=seed.input_blocks, cost=0.0, iterations=0)
         )
 
     # Stands in for the last step when no step runs (k0 == steps).
     step = ControlDecision(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0, converged=True,
                            output_blocks=seed.output_blocks, input_blocks=seed.input_blocks)
-    ref_now = reference.sample(k0)
+    ref_now = refs[-1]
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
         if np.abs(y_now).max() > DIVERGENCE_LIMIT:
             raise DivergenceError(f"output left the admissible region at step {k}", step=k, log=log)
         if k < steps:
-            ref_next = reference.sample(k + 1)
-            target = np.atleast_1d(np.asarray(ref_next, dtype=float))
-            if target.shape != (dims.My,):
-                raise ShapeError(f"reference samples must have shape ({dims.My},), got {target.shape}")
+            target = _reference_sample(reference, k + 1, dims.My)
             # Linearization point at step k-1.
             args = y_hist[1:1 + n_y] + u_hist[:n_u]
             if controller_variant == "quartic":
@@ -373,7 +388,7 @@ def simulate(
             y_next = plant._checked_eval(y_hist[:n_y] + [step.u] + u_hist[:dims.nu])
             y_hist = [y_next] + y_hist[:-1]
             u_hist = [step.u] + u_hist[:-1]
-            ref_now = ref_next
+            ref_now = target
     return log
 
 
@@ -480,13 +495,6 @@ def _stacked_solve_step(
     return delta_u, cost
 
 
-def _reference_sample(reference: ReferenceSignal, k: int, size: int) -> np.ndarray:
-    sample = np.atleast_1d(np.asarray(reference.sample(k), dtype=float))
-    if sample.shape != (size,):
-        raise ShapeError(f"reference samples must have shape ({size},), got {sample.shape}")
-    return sample
-
-
 def simulate_batch(
     plant: DifferentiableModel,
     reference: ReferenceSignal,
@@ -511,24 +519,13 @@ def simulate_batch(
     batch.  The blocks are checked before the solve.
     """
     dims = plant.dims
-    if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
-        raise ShapeError("init window signal sizes do not match the plant")
-    _check_orders(dims)
     weightings = tuple(weightings)
     if not weightings:
         raise ValueError("simulate_batch needs at least one weighting")
-    for i, w in enumerate(weightings):
-        if w.size != dims.Mu:
-            raise ShapeError(f"weighting {i} has {w.size} entries, expected {dims.Mu}")
-    k0 = init.k
-    if not 1 <= k0 <= steps:
-        raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
-
+    k0, y_hist, u_hist, refs = _start(plant, reference, steps, init, weightings)
     count = len(weightings)
-    depth_y = max(dims.Ly + 2, dims.ny + 3, k0 + 1)
-    depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
-    y_hist = [np.repeat(v[None], count, axis=0) for v in _padded(init.y_history, depth_y, dims.My)]
-    u_hist = [np.repeat(v[None], count, axis=0) for v in _padded(init.u_history, depth_u, dims.Mu)]
+    y_hist = [np.repeat(v[None], count, axis=0) for v in y_hist]
+    u_hist = [np.repeat(v[None], count, axis=0) for v in u_hist]
     n_y = dims.ny + 1
     n_u = dims.nu + 1
     entries = np.array([w.entries for w in weightings])
@@ -547,15 +544,14 @@ def simulate_batch(
     )
 
     # Pre-history rows come straight from the init window.
+    log.y_ref[:k0] = refs
     for k in range(1, k0):
-        log.y_ref[k - 1] = _reference_sample(reference, k, dims.My)
         log.y[:, k - 1] = y_hist[k0 - k]
         log.u[:, k - 1] = u_hist[k0 - 1 - k]
         log.delta_u[:, k - 1] = u_hist[k0 - 1 - k] - u_hist[k0 - k]
         log.cost[:, k - 1] = 0.0
 
     rows = np.arange(count)  # the rows still running, in batch order
-    log.y_ref[k0 - 1] = _reference_sample(reference, k0, dims.My)
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
         left = np.abs(y_now).max(axis=1) > DIVERGENCE_LIMIT

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config resolution, outputs, exit codes."""
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -123,6 +124,19 @@ def test_config_validation_errors(tmp_path):
         resolve(["sweep", "--config", write_config(tmp_path, "variant = bogus\n")])
     with pytest.raises(ConfigError):
         resolve(["example1", "--config", write_config(tmp_path, "steps = many\n")])
+
+
+def test_example1_steps_beyond_the_reference_rejected(tmp_path, capsys):
+    # the bench reference has samples for 1 <= k <= 800 only
+    assert resolve(["example1", "--steps", "800"]).steps == 800
+    with pytest.raises(ConfigError, match="steps <= 800"):
+        resolve(["example1", "--steps", "801"])
+    with pytest.raises(ConfigError, match="steps <= 800"):
+        resolve(["example1", "--config", write_config(tmp_path, "steps = 801\n")])
+    out = tmp_path / "run"
+    assert main(["example1", "--steps", "801", "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_maps_config_errors_to_exit_3(tmp_path, capsys):
@@ -281,6 +295,125 @@ def test_reruns_are_byte_identical(tmp_path):
     assert len(names) == 7 + 7 + 2 + 2  # CSVs and SVGs of the four subcommands
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# The eleven reference runs: name -> (argv, config body, expected exit code).
+REFERENCE_RUNS = {
+    "example1": (["example1"], "", 0),
+    "example1-diverge": (["example1", "--lambda", "0", "--steps", "200"], "", 2),
+    "example2": (["example2"], "t0 = 0.04\n", 0),
+    "example2-sub": (["example2"], "t0 = 0.04\nstart_fraction = 0.4\ngoal_fraction = 0.6\n", 0),
+    "sweep-0.3": (["sweep", "--lambda", "0.3"], "", 0),
+    **{f"sweep-{loop}": (["sweep", "--steps", "600"], f"variant = {loop}\n", 0)
+       for loop in ("scalar", "unstable-scalar", "mimo2")},
+    **{f"stability-{loop}": (["stability"], f"variant = {loop}\n", 0)
+       for loop in ("scalar", "unstable-scalar", "mimo2")},
+}
+
+# SHA-256 of every file the reference runs write, as "run/file".
+REFERENCE_DIGESTS = {
+    "example1/example1_constrained.csv":
+        "0c9ff4c0437b6f6f024035241b392786e1d3e59a021be4b2fcb3281182549a93",
+    "example1/example1_first_order.csv":
+        "9b794439ee15d788551b9af74044af6fbe0ff833502366329f626ff8268c656d",
+    "example1/example1_inputs.svg":
+        "8b09427938bb976b674e3b9d9b3660653c27deab969e4297a205904cefea800b",
+    "example1/example1_outputs.svg":
+        "d16a5f15d533cf653db3cae01617b639a35e6436b3cec8fce4d0dd454499d4d4",
+    "example1/example1_pjm.svg":
+        "2c902ff43e9e7a1e416be986b25b57f1d4d1c604cb447d8601b8c3febc64e66e",
+    "example1/example1_quartic.csv":
+        "5d81c3f8bf44cae6073891c7496478af21b781f53148b2e168a507494284c6b7",
+    "example1/example1_summary.csv":
+        "0c3bb3b3abc938703f554750c2a37075113e77b4359f69996da163c8e9a38353",
+    "example1-diverge/example1_constrained.csv":
+        "ad9965d499054ba4ca37a951ecce7723f72a26fc6993531b1ca02394d988b703",
+    "example1-diverge/example1_first_order.csv":
+        "df61492b1b94b8817c7256369f619d06111ac57966f6ff3974ad1510cc0e9d45",
+    "example1-diverge/example1_inputs.svg":
+        "1b27434676292971ff00bdf27466f7bbfc64ac00fe6f4adc52f4948c86150fd9",
+    "example1-diverge/example1_outputs.svg":
+        "dbb927b743f3e9ee8fb7c3adfa52aab7a25cc21d22f057685694c7c60912cb6f",
+    "example1-diverge/example1_pjm.svg":
+        "2697d529539eb827ccd4917b0fee2b3e7ddbf6befa623007e96adeaea69c9c32",
+    "example1-diverge/example1_quartic.csv":
+        "ad7b4af3e43b7e033c96c356b10ceb2412df790556d9f0071b213e6ebc6ecde2",
+    "example1-diverge/example1_summary.csv":
+        "99d29bff6dd22cc1fc39b274bc44ccae7ba0ead6ee5f813005f0f062470fbf01",
+    "example2/example2_condition.svg":
+        "64ce4ef04842b6c88b75ae82430cd8e225c0052e351ecbd521306aa61e0de508",
+    "example2/example2_errors.svg":
+        "1748ec01a4572499dff074d2ba8b2e576dca8c3bb7f082ccf3813b71d7a93d00",
+    "example2/example2_joints.svg":
+        "7a6478073b4c754b57bef051c7feaf690a13d2f5a5d04c4e0ad7ae766e7f7332",
+    "example2/example2_pose.svg":
+        "30f7e8d297a09231eb32c0a7b10b3275229c221741c287245586c262b2a4c72b",
+    "example2/example2_solver.svg":
+        "8660a79f315bec90635d8e658a721c21cbcc46371e6be1031ab82d7776f28f5d",
+    "example2/example2_summary.csv":
+        "0263b8cf56d03f076fa44785059ba2da0960347494fc934ed60ae8bad138b161",
+    "example2/example2_tracking.csv":
+        "c6b98efb0b940a7c53f03b24c440fb7d1fdaf0b362d840dd1b77a0de9519681c",
+    "example2-sub/example2_condition.svg":
+        "908ea61c1add2a3618dd58e7b93dc98fffa1fbfc9ad153f912f31d7062ab3369",
+    "example2-sub/example2_errors.svg":
+        "bca17790272ad0e168b7afd518fa5c4f3b446a156e212d5057e191d1e2f0e404",
+    "example2-sub/example2_joints.svg":
+        "866a6860c0a48206b588e3fe7950366c876c6e097ad51717e28eafc7d21366ce",
+    "example2-sub/example2_pose.svg":
+        "9fde0358dc0afb03d449167be5f5a71bff5b5927ddc63e5ebec86e87c1277157",
+    "example2-sub/example2_solver.svg":
+        "af7507c2879c2cb2e8543510cbbd8bbca38178bb08f1a0fffc78b5b95c29e861",
+    "example2-sub/example2_summary.csv":
+        "2ecc0d267340e47a1d8dc630fdf3db1f98424611ac54f93fb4c4a32655ac99ea",
+    "example2-sub/example2_tracking.csv":
+        "1be54101bb026d94a6fa91309934351efe6308444ad4c9a5f9f07b070802d930",
+    "sweep-0.3/sweep_scalar.csv":
+        "ce28c21c2c47b4c4fc87f8457e3fe0d8ef8761fcb456a7d5ef3afe7cf4d16617",
+    "sweep-0.3/sweep_scalar.svg":
+        "2d3fabb12775452c13e0380f02f09e60ec44106f6cee32298c2392c9f3fda8b3",
+    "sweep-scalar/sweep_scalar.csv":
+        "8d18ca3157dbf1b6de7790698af952620ea4b632620ebb46bc9f247536515bd6",
+    "sweep-scalar/sweep_scalar.svg":
+        "d334e4c15fe17c00cf1105fcfbb3ea6df6eeca12f0866b324e83f8c975d55235",
+    "stability-scalar/stability_scalar.csv":
+        "7ce1aa6dd56544db5f75e5ac655db4341f8332148cc9dc9e6fb2808cb89c7810",
+    "stability-scalar/stability_scalar.svg":
+        "af41f277446ede0aebe163a378dc2af5d3675dba13f1f958ca3a8f1d5f3f8b09",
+    "sweep-unstable-scalar/sweep_unstable-scalar.csv":
+        "ba9eeb690f58ac41e535470c77dc51a3c7456719cab1fe4ada05fb1e9cd1c196",
+    "sweep-unstable-scalar/sweep_unstable-scalar.svg":
+        "8092d4a04f125eca76ce25471c2e81df1c9ba441a16244e9d9aa8119e6a13433",
+    "stability-unstable-scalar/stability_unstable-scalar.csv":
+        "290c1563d311e6a0a39c2c915e549914b47964192a5061f093d9b428f8c63954",
+    "stability-unstable-scalar/stability_unstable-scalar.svg":
+        "bff87ff8dabbcb5d48d3527376a2889eafdc16c9e33a1d648d94e27e50427da4",
+    "sweep-mimo2/sweep_mimo2.csv":
+        "21db00c832befc1aa03077ceee78e5cde510ef894461fc2fe33c6655352295fd",
+    "sweep-mimo2/sweep_mimo2.svg":
+        "1ea966c32fd3b54fc3f3610f0b1e8f900dd44abdaf90643a54f4ae7476d35632",
+    "stability-mimo2/stability_mimo2.csv":
+        "94b5ab136295b6cb95b133f895b0a163c177b9258b8485365f85e61b51874218",
+    "stability-mimo2/stability_mimo2.svg":
+        "f5333cc7b43dda3ecab26ec4b4b68413a00200b6f00436ae9720f6393b1ffcf6",
+}
+
+
+def test_reference_runs_keep_their_bytes(tmp_path):
+    """Every output byte of the eleven reference runs matches recorded digests.
+
+    The digests were recorded on one x86-64 Linux machine with Python 3.11.7
+    and numpy 2.4.6; another numpy build may round differently and fail here
+    without a change to the code.  A change that moves outputs on purpose
+    records the new digests here and names the moved files in CHANGES.md.
+    """
+    digests = {}
+    for name, (argv, body, code) in REFERENCE_RUNS.items():
+        conf = ["--config", write_config(tmp_path, body)] if body else []
+        assert main([*argv, *conf, "--out", str(tmp_path / name)]) == code, name
+        for path in (tmp_path / name).iterdir():
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == REFERENCE_DIGESTS
 
 
 def test_svg_charts_are_well_formed(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the one-step control laws and the damping schedule."""
+"""Tests for the one-step control laws and the IK damping schedule."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from mfaclab.controller import (
     SWEEP_MAX,
     BoxConstraints,
     Weighting,
-    lambda_schedule,
     mfac_constrained_step,
     mfac_quartic_step,
     mfac_step,
 )
 from mfaclab.edlm import Dimensions, PseudoJacobian, RegressorWindow, pjm_first_order
 from mfaclab.errors import InfeasibleBoxError, RankDeficiencyError, ShapeError
+from mfaclab.kinematics import _damping
 from mfaclab.plant import Example1Plant, LTIPlant
 
 
@@ -293,23 +293,22 @@ def test_quartic_no_worse_than_first_order_on_true_plant():
     assert_allclose(c_quart, 0.0035077350189829737, rtol=1e-6)
 
 
-# -------------------------------------------------------------- scheduling
+# ------------------------------------------- IK damping schedule (kinematics)
 
 
 def test_lambda_schedule_breakpoints():
-    assert_allclose(lambda_schedule(100.0).entries, [0.0])
-    assert_allclose(lambda_schedule(4999.999).entries, [0.0])
-    assert_allclose(lambda_schedule(5000.0).entries, [0.05])
-    assert_allclose(lambda_schedule(19999.0).entries, [0.05])
-    assert_allclose(lambda_schedule(20000.0).entries, [0.1])
-    assert_allclose(lambda_schedule(float("inf")).entries, [0.1])
-    assert_allclose(lambda_schedule(float("nan")).entries, [0.1])
-    assert lambda_schedule(1.0, size=6).entries.shape == (6,)
+    assert _damping(100.0) == 0.0
+    assert _damping(4999.999) == 0.0
+    assert _damping(5000.0) == 0.05
+    assert _damping(19999.0) == 0.05
+    assert _damping(20000.0) == 0.1
+    assert _damping(float("inf")) == 0.1
+    assert _damping(float("nan")) == 0.1
 
 
 def test_lambda_schedule_monotone_in_cond():
     grid = [1.0, 10.0, 4999.0, 5000.0, 7500.0, 19999.0, 20000.0, 1e9, float("inf")]
-    values = [lambda_schedule(c).entries[0] for c in grid]
+    values = [_damping(c) for c in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 

@@ -16,7 +16,6 @@ from mfaclab.edlm import (
     Dimensions,
     PseudoJacobian,
     RegressorWindow,
-    build_delta_regressor,
     pjm_csv_header,
     pjm_csv_values,
     pjm_first_order,
@@ -76,79 +75,6 @@ def test_window_freezes_a_copy_of_the_callers_arrays():
     assert not w.y_history[0].flags.writeable
 
 
-# ---------------------------------------------------------- delta regressor
-
-
-def test_delta_regressor_identical_windows():
-    dims = Dimensions(My=2, Mu=2, Ly=1, Lu=2)
-    ys = [np.array([0.3, -0.1]), np.array([0.2, 0.0])]
-    us = [np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([0.0, 0.0])]
-    w = window(dims, 5, ys, us)
-    assert_allclose(build_delta_regressor(w, w), np.zeros(6))
-
-
-def test_delta_regressor_scalar_hand_case():
-    # y moves 2 -> 3 and u moves 5 -> 7, so dH = [1, 2]
-    dims = Dimensions(My=1, Mu=1, Ly=1, Lu=1)
-    now = window(dims, 2, [np.array([3.0])], [np.array([7.0])])
-    prev = window(dims, 1, [np.array([2.0])], [np.array([5.0])])
-    assert_allclose(build_delta_regressor(now, prev), [1.0, 2.0])
-
-
-def test_delta_regressor_zero_startup_history():
-    # Zero initial conditions leave every increment zero at step 3.
-    dims = Dimensions(My=2, Mu=2, Ly=1, Lu=2)
-    z = np.zeros(2)
-    now = window(dims, 3, [z, z], [z, z, z])
-    prev = window(dims, 2, [z, z], [z, z, z])
-    dh = build_delta_regressor(now, prev)
-    assert dh.shape == (6,)
-    assert_allclose(dh, np.zeros(6))
-
-
-def test_delta_regressor_empty_output_section():
-    dims = Dimensions(My=1, Mu=1, Ly=0, Lu=1)
-    now = window(dims, 2, [], [np.array([2.0])])
-    prev = window(dims, 1, [], [np.array([0.5])])
-    assert_allclose(build_delta_regressor(now, prev), [1.5])
-
-
-def test_delta_regressor_rejects_mismatch():
-    d1 = Dimensions(My=1, Mu=1, Ly=1, Lu=1)
-    d2 = Dimensions(My=1, Mu=1, Ly=1, Lu=2)
-    a = window(d1, 2, [np.zeros(1)], [np.zeros(1)])
-    b = window(d2, 1, [np.zeros(1)], [np.zeros(1), np.zeros(1)])
-    with pytest.raises(ShapeError):
-        build_delta_regressor(a, b)
-    shallow = window(d2, 2, [np.zeros(1)], [np.zeros(1)])
-    with pytest.raises(ShapeError):
-        build_delta_regressor(shallow, shallow)
-
-
-def test_delta_regressor_is_linear():
-    dims = Dimensions(My=2, Mu=1, Ly=2, Lu=1)
-    rng = np.random.RandomState(7)
-
-    def rand_window(k):
-        return window(dims, k, [rng.randn(2), rng.randn(2)], [rng.randn(1), rng.randn(1)])
-
-    a_now, a_prev = rand_window(4), rand_window(3)
-    b_now, b_prev = rand_window(4), rand_window(3)
-    summed_now = window(
-        dims, 4,
-        [a_now.y_history[i] + b_now.y_history[i] for i in range(2)],
-        [a_now.u_history[0] + b_now.u_history[0], a_now.u_history[1] + b_now.u_history[1]],
-    )
-    summed_prev = window(
-        dims, 3,
-        [a_prev.y_history[i] + b_prev.y_history[i] for i in range(2)],
-        [a_prev.u_history[0] + b_prev.u_history[0], a_prev.u_history[1] + b_prev.u_history[1]],
-    )
-    lhs = build_delta_regressor(summed_now, summed_prev)
-    rhs = build_delta_regressor(a_now, a_prev) + build_delta_regressor(b_now, b_prev)
-    assert_allclose(lhs, rhs, atol=1e-14)
-
-
 # ------------------------------------------------------------ prediction
 
 
@@ -178,10 +104,10 @@ def test_predict_matches_direct_plant_stepping():
     for u in us:
         ys.append(float(plant.evaluate([np.array([ys[-1]]), np.array([u])])[0]))
     k = 3
-    now = window(dims, k, [np.array([ys[k]])], [np.array([us[k]])])
     prev = window(dims, k - 1, [np.array([ys[k - 1]])], [np.array([us[k - 1]])])
     pjm = pjm_first_order(plant, prev)
-    predicted = predict_delta_output(pjm, build_delta_regressor(now, prev))
+    delta_h = np.array([ys[k] - ys[k - 1], us[k] - us[k - 1]])  # [dy(k), du(k)]
+    predicted = predict_delta_output(pjm, delta_h)
     actual = ys[k + 1] - ys[k]
     assert_allclose(predicted, [actual], atol=1e-10)
 
@@ -259,7 +185,7 @@ def test_first_order_nonfinite_model_flags_component():
     op = window(plant.dims, 1, [], [np.zeros(1)])
     with pytest.raises(NonFiniteModelError) as err:
         pjm_first_order(plant, op)
-    assert err.value.arg_index == 1
+    assert err.value.component == 1
 
 
 def test_first_order_rejects_short_operating_point():
@@ -369,7 +295,7 @@ def test_batch_reports_the_first_nonfinite_point():
     plant = LateNaN()
     with pytest.raises(NonFiniteModelError) as err:
         pjm_first_order(plant, window(plant.dims, 1, [], [np.zeros(2)]))
-    assert err.value.arg_index == 2
+    assert err.value.component == 2
 
 
 def test_batch_shape_is_checked():

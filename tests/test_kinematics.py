@@ -15,16 +15,13 @@ from mfaclab.kinematics import (
     angle_axis_error,
     condition_number,
     default_arm,
-    dh_transform,
     euler_from_rotation,
     forward_kinematics,
     ik_solve,
-    ik_step,
     parse_chain,
     pose_and_jacobian,
     pose_to_task,
     rotation_from_euler,
-    task_jacobian,
     task_to_pose,
 )
 
@@ -43,35 +40,33 @@ def rodrigues(axis, theta):
 
 
 def test_dh_row_zero_is_identity():
-    pose = dh_transform(DHRow(name="z", alpha_prev=0.0, a_prev=0.0, d=0.0, revolute=True))
-    assert isinstance(pose, Pose)
-    np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(pose.position, np.zeros(3), atol=1e-15)
+    T = DHRow(name="z", alpha_prev=0.0, a_prev=0.0, d=0.0, revolute=True).transform()
+    np.testing.assert_allclose(T, np.eye(4), atol=1e-15)
 
 
 def test_dh_row_fixed_translation():
     base = DHRow(name="base", alpha_prev=0.0, a_prev=0.0, d=342.0, revolute=False)
-    pose = dh_transform(base)
-    np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(pose.position, [0.0, 0.0, 342.0], atol=1e-15)
+    T = base.transform()
+    np.testing.assert_allclose(T[:3, :3], np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(T[:3, 3], [0.0, 0.0, 342.0], atol=1e-15)
     # q is ignored on structural rows
-    np.testing.assert_allclose(dh_transform(base, q=1.3).position, [0.0, 0.0, 342.0])
+    np.testing.assert_allclose(base.transform(q=1.3)[:3, 3], [0.0, 0.0, 342.0])
 
 
 def test_dh_row_hand_product():
     row = DHRow(name="j2", alpha_prev=-math.pi / 2, a_prev=40.0, d=0.0, revolute=True)
-    pose = dh_transform(row, q=math.pi / 2)
+    T = row.transform(q=math.pi / 2)
     np.testing.assert_allclose(
-        pose.rotation, [[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]], atol=1e-15
+        T[:3, :3], [[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]], atol=1e-15
     )
-    np.testing.assert_allclose(pose.position, [40.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(T[:3, 3], [40.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_fixed_row_theta_offset():
     row = DHRow(name="elbow", alpha_prev=0.0, a_prev=0.0, d=0.0, revolute=False,
                 theta_offset=math.pi / 2)
     np.testing.assert_allclose(
-        dh_transform(row).rotation, [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        row.transform()[:3, :3], [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
         atol=1e-15,
     )
 
@@ -116,7 +111,8 @@ def test_fk_matches_elementary_transform_oracle():
                 idx += 1
             T = T @ rot_x(row.alpha_prev) @ trans(row.a_prev, 0.0) @ rot_z(theta) @ trans(0.0, row.d)
         pose = forward_kinematics(chain, q)
-        np.testing.assert_allclose(pose.homogeneous(), T, atol=1e-9)
+        np.testing.assert_allclose(pose.rotation, T[:3, :3], atol=1e-9)
+        np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-9)
 
 
 def test_fk_rotations_are_orthonormal():
@@ -203,8 +199,6 @@ def test_task_vector_round_trip():
     task = TaskVector(x=10.0, y=-5.0, z=3.0, alpha=0.2, beta=-0.7, gamma=1.0)
     back = pose_to_task(task_to_pose(task))
     np.testing.assert_allclose(back.as_array(), task.as_array(), atol=1e-12)
-    with pytest.raises(ShapeError):
-        TaskVector.from_array([1.0, 2.0, 3.0])
 
 
 def test_pose_task_round_trip_at_lock():
@@ -293,7 +287,7 @@ def test_task_jacobian_matches_finite_differences():
     h = 1e-5
     for _ in range(5):
         q = rng.uniform(-1.2, 1.2, size=6)
-        J = task_jacobian(chain, q)
+        J = pose_and_jacobian(chain, q)[1]
         base = forward_kinematics(chain, q)
         fd = np.empty((6, 6))
         for j in range(6):
@@ -331,22 +325,22 @@ def test_task_jacobian_tight_against_central_differences():
             q[4] = wrist + rng.uniform(-1e-3, 1e-3)
             postures.append(q)
     for q in postures:
-        J = task_jacobian(chain, q)
+        pose, J = pose_and_jacobian(chain, q)
         fd = central_difference_jacobian(chain, q, 1e-5)
         for rows in (slice(0, 3), slice(3, 6)):
             scale = np.max(np.abs(J[rows]))
             assert np.max(np.abs(J[rows] - fd[rows])) <= 1e-6 * scale
-        # the one-pass variant gives the same bits as the two separate calls
-        pose, J_pass = pose_and_jacobian(chain, q)
-        np.testing.assert_array_equal(J_pass, J)
-        np.testing.assert_array_equal(pose.homogeneous(), forward_kinematics(chain, q).homogeneous())
+        # the pass that gives the Jacobian gives the pose of forward_kinematics, bit for bit
+        fk = forward_kinematics(chain, q)
+        np.testing.assert_array_equal(pose.rotation, fk.rotation)
+        np.testing.assert_array_equal(pose.position, fk.position)
 
 
 def test_task_jacobian_first_joint_spins_base_axis():
     # joint 1 rotates about the base z axis regardless of posture
     chain = default_arm()
     for q in (HOME, GOAL, np.array([0.3, -0.5, 0.8, 0.2, 1.0, -0.7])):
-        J = task_jacobian(chain, q)
+        J = pose_and_jacobian(chain, q)[1]
         np.testing.assert_allclose(J[3:, 0], [0.0, 0.0, 1.0], atol=1e-6)
 
 
@@ -359,8 +353,8 @@ def test_condition_number_basics():
 
 def test_condition_number_at_named_postures():
     chain = default_arm()
-    cond_home = condition_number(task_jacobian(chain, HOME))
-    cond_goal = condition_number(task_jacobian(chain, GOAL))
+    cond_home = condition_number(pose_and_jacobian(chain, HOME)[1])
+    cond_goal = condition_number(pose_and_jacobian(chain, GOAL)[1])
     assert cond_home == pytest.approx(661.2052474180529, rel=1e-6)
     assert cond_goal == pytest.approx(450.5907538551583, rel=1e-6)
     assert cond_home < 5000 and cond_goal < 5000
@@ -380,8 +374,8 @@ FOLDED_AT_GOAL = np.array(
 
 def test_condition_number_on_folded_branch():
     chain = default_arm()
-    assert condition_number(task_jacobian(chain, NEAR_FOLD)) > 1e10
-    cond = condition_number(task_jacobian(chain, FOLDED_AT_GOAL))
+    assert condition_number(pose_and_jacobian(chain, NEAR_FOLD)[1]) > 1e10
+    cond = condition_number(pose_and_jacobian(chain, FOLDED_AT_GOAL)[1])
     assert cond == pytest.approx(116459.98564181731, rel=1e-3)
     assert cond > 20000
 
@@ -389,9 +383,18 @@ def test_condition_number_on_folded_branch():
 # --------------------------------------------------------------------- IK
 
 
+def damped_step(chain, q, target):
+    """The damped least-squares increment ik_solve takes from q toward the
+    target, and the condition number its damping was scheduled from."""
+    pose, J = pose_and_jacobian(chain, q)
+    e = np.concatenate([target.position - pose.position, angle_axis_error(target.rotation, pose.rotation)])
+    delta_q, cond, _ = kinematics._damped_step(J, e)
+    return delta_q, cond
+
+
 def test_ik_step_zero_at_target():
     chain = default_arm()
-    delta_q, cond = ik_step(chain, HOME, forward_kinematics(chain, HOME))
+    delta_q, cond = damped_step(chain, HOME, forward_kinematics(chain, HOME))
     np.testing.assert_allclose(delta_q, np.zeros(6), atol=1e-15)
     assert cond == pytest.approx(661.2052474180529, rel=1e-6)
 
@@ -409,7 +412,7 @@ def test_ik_step_contracts_small_errors():
         return np.linalg.norm(e)
 
     before = error_norm(q)
-    delta_q, cond = ik_step(chain, q, target)
+    delta_q, cond = damped_step(chain, q, target)
     assert cond < 5000  # undamped regime
     assert error_norm(q + delta_q) < 0.1 * before
 
@@ -417,7 +420,7 @@ def test_ik_step_contracts_small_errors():
 def test_ik_step_bounded_near_singularity():
     chain = default_arm()
     target = forward_kinematics(chain, NEAR_FOLD + 0.01)
-    delta_q, cond = ik_step(chain, NEAR_FOLD, target)
+    delta_q, cond = damped_step(chain, NEAR_FOLD, target)
     assert cond > 20000
     assert np.all(np.isfinite(delta_q))
     assert np.linalg.norm(delta_q) < 10.0
@@ -503,18 +506,12 @@ def test_ik_solve_makes_one_chain_pass_per_iteration(monkeypatch):
         res = ik_solve(chain, seed, target)
         assert len(passes) == res.iterations + 1
     assert res.iterations == 30 and not res.converged
-    target = forward_kinematics(chain, GOAL)
-    passes.clear()
-    ik_step(chain, HOME, target)
-    assert len(passes) == 1
 
 
 def test_ik_solve_rejects_improper_target():
     flipped = Pose(rotation=np.diag([1.0, 1.0, -1.0]), position=np.zeros(3))
     with pytest.raises(InvalidRotationError):
         ik_solve(default_arm(), HOME, flipped)
-    with pytest.raises(InvalidRotationError):
-        ik_step(default_arm(), HOME, flipped)
 
 
 # ----------------------------------------------------------- table parsing
@@ -561,5 +558,7 @@ def test_pose_validation():
         Pose(rotation=np.eye(2), position=np.zeros(3))
     with pytest.raises(ShapeError):
         Pose(rotation=np.eye(3), position=np.zeros(4))
-    T = forward_kinematics(default_arm(), HOME).homogeneous()
-    np.testing.assert_allclose(Pose.from_homogeneous(T).homogeneous(), T, atol=1e-15)
+    T = kinematics._chain_frames(default_arm(), HOME)[-1]
+    pose = Pose.from_homogeneous(T)
+    np.testing.assert_array_equal(pose.rotation, T[:3, :3])
+    np.testing.assert_array_equal(pose.position, T[:3, 3])

@@ -13,7 +13,6 @@ from mfaclab.pathgen import (
     CartesianPath,
     PathSpec,
     QuinticCoeffs,
-    SegmentBoundary,
     UnitQuaternion,
     euler_to_quat,
     generate_path,
@@ -296,11 +295,6 @@ def test_generate_path_pure_rotation():
     path = generate_path(PathSpec(start=start, goal=goal, tf=1.0, T0=0.25))
     for sample in path.samples:
         np.testing.assert_array_equal(sample.position, start.position)
-    with pytest.raises(DegenerateDirectionError):
-        generate_path(
-            PathSpec(start=start, goal=goal, tf=1.0, T0=0.25,
-                     position_boundary=SegmentBoundary(v0=1.0))
-        )
     with pytest.raises(ValueError):
         generate_path(PathSpec(start=start, goal=start, tf=1.0, T0=0.25))
 

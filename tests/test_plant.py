@@ -626,6 +626,23 @@ def test_simulate_rejects_misshapen_reference_samples():
         simulate(plant, "first_order", StepReference(3), 10, zero_window(plant.dims), Weighting.uniform(0.1, 2))
 
 
+class WideUntilStep3(ReferenceSignal):
+    """Three components through step 3, one after it."""
+
+    def sample(self, k):
+        return np.ones(3 if k <= 3 else 1)
+
+
+def test_both_kernels_check_the_pre_history_and_first_reference_samples():
+    # with init.k = 3 the misshapen samples are those of the pre-history rows and of step k0
+    plant = LTIPlant([0.5 * np.eye(1)], [np.eye(1)])
+    init = zero_window(plant.dims, k=3)
+    with pytest.raises(ShapeError):
+        simulate(plant, "first_order", WideUntilStep3(), 10, init, Weighting.uniform(0.1, 1))
+    with pytest.raises(ShapeError):
+        simulate_batch(plant, WideUntilStep3(), 10, init, [Weighting.uniform(0.1, 1)])
+
+
 # ------------------------------------------------------ batched evaluation
 
 
@@ -670,7 +687,7 @@ def test_simulate_flags_nonfinite_perturbed_point(component):
     plant = NaNAtOnePoint(component)
     with pytest.raises(NonFiniteModelError) as err:
         simulate(plant, "first_order", ZeroReference(2), 10, zero_window(plant.dims), Weighting.uniform(0.1, 2))
-    assert err.value.arg_index == component
+    assert err.value.component == component
 
 
 class SteepStaticMap(DifferentiableModel):
@@ -873,7 +890,7 @@ def test_batch_flags_nonfinite_perturbed_point(component):
     plant = NaNAtOnePoint(component)
     with pytest.raises(NonFiniteModelError) as err:
         simulate_batch(plant, ZeroReference(2), 10, zero_window(plant.dims), [Weighting.uniform(0.1, 2)] * 2)
-    assert err.value.arg_index == component
+    assert err.value.component == component
 
 
 def test_batch_rejects_nonfinite_pseudo_jacobian_before_solving(monkeypatch):
