@@ -50,6 +50,7 @@ from .pathgen import (
     quat_to_euler,
 )
 from .plant import (
+    EXAMPLE1_HORIZON,
     VARIANTS,
     Example1Plant,
     Example1Reference,
@@ -196,10 +197,12 @@ def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
         lam = 0.2
 
     steps = _parse_int(merged["steps"], "steps") if "steps" in merged else (
-        800 if experiment == "example1" else 5000
+        EXAMPLE1_HORIZON if experiment == "example1" else 5000
     )
-    if experiment == "example1" and not 3 <= steps <= 800:
-        raise ConfigError("example1 needs 3 <= steps <= 800: its pinned warm-up rows and its reference's samples")
+    if experiment == "example1" and not 3 <= steps <= EXAMPLE1_HORIZON:
+        raise ConfigError(
+            f"example1 needs 3 <= steps <= {EXAMPLE1_HORIZON}: its pinned warm-up rows and its reference's samples"
+        )
     if experiment == "lambda-sweep" and steps < 2:
         raise ConfigError("sweep needs steps >= 2")
 
@@ -249,6 +252,12 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """An axis range of nonzero width: a single value is padded by max(0.5, 10% of it) each side."""
+    pad = max(0.5, abs(hi) * 0.1)
+    return (lo, hi) if hi != lo else (lo - pad, hi + pad)
+
+
 def _svg_chart(
     title: str,
     x_label: str,
@@ -274,11 +283,8 @@ def _svg_chart(
     else:
         xmin = ymin = 0.0
         xmax = ymax = 1.0
-    if xmax == xmin:
-        xmin, xmax = xmin - 0.5, xmax + 0.5
-    if ymax == ymin:
-        pad = max(0.5, abs(ymax) * 0.1)
-        ymin, ymax = ymin - pad, ymax + pad
+    xmin, xmax = _widened(xmin, xmax)
+    ymin, ymax = _widened(ymin, ymax)
 
     def sx(v: float) -> float:
         return left + (v - xmin) / (xmax - xmin) * plot_w
@@ -580,14 +586,14 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> int:
         y_history=[np.zeros(size)], u_history=[np.zeros(size)],
     )
     grid = list(_analytic_grid(cfg, pjm))
-    # One batched simulation for the whole grid; only each row's last record is read.
-    batch = simulate_batch(plant, reference, cfg.steps, init, [w for _, w, *_ in grid])
+    # One batched simulation for the whole grid; only each log's last record is read.
+    logs = simulate_batch(plant, reference, cfg.steps, init, [w for _, w, *_ in grid])
     rows = []
-    for i, (lam, _, stable, max_root, analytic) in enumerate(grid):
-        if batch.diverged_at[i]:
+    for (lam, _, stable, max_root, analytic), log in zip(grid, logs):
+        if log.diverged_at:
             simulated = np.full(size, math.nan)
         else:
-            simulated = batch.y_ref[-1] - batch.y[i, -1]
+            simulated = log.y_ref[-1] - log.y[-1]
         rows.append([lam, int(stable), max_root, *simulated, *analytic])
 
     cfg.out.mkdir(parents=True, exist_ok=True)

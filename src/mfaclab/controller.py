@@ -103,11 +103,6 @@ class ControlDecision(NamedTuple):
     output_blocks: Sequence[np.ndarray]
     input_blocks: Sequence[np.ndarray]
 
-    @property
-    def pjm(self) -> PseudoJacobian:
-        """The blocks as a frozen, validated PseudoJacobian, built on each read."""
-        return PseudoJacobian(output_blocks=tuple(self.output_blocks), input_blocks=tuple(self.input_blocks))
-
 
 def _check_controller_args(
     layout: tuple[int, int, int, int], window: RegressorWindow, y_now: np.ndarray, y_ref: np.ndarray, w: Weighting

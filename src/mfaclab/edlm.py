@@ -169,11 +169,7 @@ class PseudoJacobian:
 
     def flattened(self) -> np.ndarray:
         """All blocks side by side: shape (My, Ly*My + Lu*Mu)."""
-        return _side_by_side(self.output_blocks, self.input_blocks)
-
-
-def _side_by_side(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> np.ndarray:
-    return np.hstack([*output_blocks, *input_blocks])
+        return np.hstack([*self.output_blocks, *self.input_blocks])
 
 
 def pjm_csv_header(dims: Dimensions) -> list[str]:
@@ -185,16 +181,6 @@ def pjm_csv_header(dims: Dimensions) -> list[str]:
             for c in range(w):
                 names.append(f"Phi{b}[{r},{c}]")
     return names
-
-
-def pjm_csv_values(pjm: PseudoJacobian) -> list[float]:
-    """Row-major flattened entries, matching pjm_csv_header order."""
-    return _csv_values(pjm.output_blocks, pjm.input_blocks)
-
-
-def _csv_values(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> list[float]:
-    """pjm_csv_values on raw blocks, without building a PseudoJacobian."""
-    return _side_by_side(output_blocks, input_blocks).ravel().tolist()
 
 
 class DifferentiableModel(ABC):

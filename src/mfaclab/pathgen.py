@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDirectionError, ShapeError
 from .kinematics import TaskVector
-from .plant import write_csv
 
-PATH_SCHEMA = "mfaclab.path.v1"
 GEODESIC_TOL = 1.0e-8
 
 
@@ -220,10 +218,6 @@ class CartesianPath:
 
     def __iter__(self):
         return iter(zip(self.times, self.samples))
-
-    def to_csv(self, fh: TextIO) -> None:
-        rows = ([t, *s.as_array()] for t, s in zip(self.times, self.samples))
-        write_csv(fh, PATH_SCHEMA, ["t", "x", "y", "z", "alpha", "beta", "gamma"], rows)
 
 
 def generate_path(spec: PathSpec) -> CartesianPath:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -26,7 +26,6 @@ from .edlm import (
     RegressorWindow,
     _check_finite,
     _check_orders,
-    _csv_values,
     _first_order_blocks,
     _padded_blocks,
     _stacked_first_order_blocks,
@@ -36,6 +35,7 @@ from .errors import DivergenceError, ShapeError
 
 SIMLOG_SCHEMA = "mfaclab.simlog.v1"
 DIVERGENCE_LIMIT = 1.0e6
+EXAMPLE1_HORIZON = 800
 VARIANTS = ("first_order", "quartic", "constrained")
 
 
@@ -106,11 +106,11 @@ class ReferenceSignal:
 def example1_reference(k: int) -> np.ndarray:
     """Benchmark reference: mixed sinusoids for 800 steps, square wave after 400.
 
-    Defined for 1 <= k <= 800.  The square-wave level uses rounding half away
-    from zero, so the switch points land mid-plateau.
+    Defined for 1 <= k <= EXAMPLE1_HORIZON.  The square-wave level uses
+    rounding half away from zero, so the switch points land mid-plateau.
     """
-    if not 1 <= k <= 800:
-        raise ValueError(f"reference defined for 1 <= k <= 800, got k={k}")
+    if not 1 <= k <= EXAMPLE1_HORIZON:
+        raise ValueError(f"reference defined for 1 <= k <= {EXAMPLE1_HORIZON}, got k={k}")
     if k <= 400:
         y1 = 0.3 * math.sin(k / 40.0) - 0.2 * math.cos(k / 20.0)
         y2 = 0.2 * math.sin(k / 10.0) + 0.3 * math.sin(k / 30.0)
@@ -156,38 +156,33 @@ class ZeroReference(ReferenceSignal):
         return np.zeros(self.size)
 
 
-@dataclass(frozen=True)
-class SimRecord:
-    """One logged step of a closed-loop run, with the raw pseudo-Jacobian blocks of the step."""
-
-    k: int
-    y: np.ndarray
-    y_ref: np.ndarray
-    u: np.ndarray
-    delta_u: np.ndarray
-    output_blocks: Sequence[np.ndarray]
-    input_blocks: Sequence[np.ndarray]
-    cost: float
-    iterations: int
-
-    @property
-    def pjm(self) -> PseudoJacobian:
-        """The blocks as a frozen, validated PseudoJacobian, built on each read."""
-        return PseudoJacobian(output_blocks=tuple(self.output_blocks), input_blocks=tuple(self.input_blocks))
-
-
 @dataclass
 class SimLog:
-    """Per-step records plus the configuration echo needed to interpret them."""
+    """A closed-loop run, one array entry per logged step, plus the configuration echo.
+
+    Record k sits at index k - 1 of every array.  diverged_at is the step at
+    which the output left the admissible region, 0 if the run finished.
+    converged is the law's flag of each step (true on the pre-history rows
+    and the final row); it stays in memory and is not written to the CSV.
+    """
 
     dims: Dimensions
     variant: str
     weighting: Weighting
+    y_ref: np.ndarray  # (n, My)
+    y: np.ndarray  # (n, My)
+    u: np.ndarray  # (n, Mu)
+    delta_u: np.ndarray  # (n, Mu)
+    cost: np.ndarray  # (n,)
+    iterations: np.ndarray  # (n,)
+    converged: np.ndarray  # (n,)
+    output_blocks: np.ndarray  # (n, Ly, My, My)
+    input_blocks: np.ndarray  # (n, Lu, My, Mu)
     box: BoxConstraints | None = None
-    records: list[SimRecord] = field(default_factory=list)
+    diverged_at: int = 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.y.shape[0]
 
     def csv_header(self) -> list[str]:
         My, Mu = self.dims.My, self.dims.Mu
@@ -201,13 +196,17 @@ class SimLog:
         return cols
 
     def csv_rows(self) -> list[list]:
-        """Each record's values in csv_header order."""
-        return [
-            [r.k, *map(float, r.y), *map(float, r.y_ref), *map(float, r.u),
-             *map(float, r.delta_u), float(r.cost), r.iterations,
-             *_csv_values(r.output_blocks, r.input_blocks)]
-            for r in self.records
-        ]
+        """Each record's values in csv_header order.
+
+        The block columns are each record's blocks side by side, as
+        PseudoJacobian.flattened lays them out, read row-major.
+        """
+        n, d = len(self), self.dims
+        signals = np.hstack([self.y, self.y_ref, self.u, self.delta_u, self.cost[:, None]]).tolist()
+        blocks = np.concatenate([*self.output_blocks.swapaxes(0, 1), *self.input_blocks.swapaxes(0, 1)], axis=2)
+        blocks = blocks.reshape(n, d.My * d.width).tolist()
+        return [[k, *v, iters, *b]
+                for k, v, iters, b in zip(range(1, n + 1), signals, self.iterations.tolist(), blocks)]
 
     def to_csv(self, fh: TextIO) -> list[list]:
         """Write the log as CSV and return the rows written, in csv_header order."""
@@ -219,7 +218,8 @@ class SimLog:
         """Records whose input lies outside the box; 0 when there is no box."""
         if self.box is None:
             return 0
-        return sum(not self.box.contains(r.u) for r in self.records)
+        inside = (self.u >= self.box.lower) & (self.u <= self.box.upper)
+        return int(np.count_nonzero(~inside.all(axis=1)))
 
 
 def _cell(value) -> str:
@@ -254,10 +254,9 @@ class MetricsReport:
 
 def metrics(log: SimLog, transient_cutoff: int) -> MetricsReport:
     """Tracking metrics over the records with k > transient_cutoff."""
-    rows = [r for r in log.records if r.k > transient_cutoff]
-    if not rows:
+    err = (log.y_ref - log.y)[max(transient_cutoff, 0):]
+    if not len(err):
         raise ValueError(f"no records beyond transient cutoff {transient_cutoff}")
-    err = np.array([r.y_ref - r.y for r in rows])
     return MetricsReport(
         rmse=np.sqrt(np.mean(err**2, axis=0)),
         max_abs_error=np.max(np.abs(err), axis=0),
@@ -302,6 +301,17 @@ def _start(plant: DifferentiableModel, reference: ReferenceSignal, steps: int, i
     return k0, y_hist, u_hist, refs
 
 
+def _stacked_log(dims: Dimensions, variant: str, w: Weighting, box: BoxConstraints | None, records: list[tuple],
+                 diverged_at: int = 0) -> SimLog:
+    """The SimLog of per-step tuples that hold its array fields, y_ref to input_blocks, in order."""
+    shapes = ((dims.My,), (dims.My,), (dims.Mu,), (dims.Mu,), (), (), (),
+              (dims.Ly, dims.My, dims.My), (dims.Lu, dims.My, dims.Mu))
+    dtypes = (float, float, float, float, float, int, bool, float, float)
+    columns = list(zip(*records)) or [()] * len(shapes)
+    arrays = [np.array(c, dtype=t).reshape(len(records), *s) for c, t, s in zip(columns, dtypes, shapes)]
+    return SimLog(dims, variant, w, *arrays, box=box, diverged_at=diverged_at)
+
+
 def simulate(
     plant: DifferentiableModel,
     controller_variant: str,
@@ -342,18 +352,14 @@ def simulate(
     entries = w.entries
     penalty = w.matrix
 
-    log = SimLog(dims=dims, variant=controller_variant, weighting=w, box=box)
     seed = pjm_seed if pjm_seed is not None else PseudoJacobian.constant(0.0, dims)
 
     # Pre-history rows come straight from the init window.
+    records = []
     for k in range(1, k0):
-        y_k = y_hist[k0 - k]
         u_k = u_hist[k0 - 1 - k]
-        du = u_k - u_hist[k0 - k]
-        log.records.append(
-            SimRecord(k=k, y=y_k, y_ref=refs[k - 1], u=u_k, delta_u=du,
-                      output_blocks=seed.output_blocks, input_blocks=seed.input_blocks, cost=0.0, iterations=0)
-        )
+        records.append((refs[k - 1], y_hist[k0 - k], u_k, u_k - u_hist[k0 - k], 0.0, 0, True,
+                        seed.output_blocks, seed.input_blocks))
 
     # Stands in for the last step when no step runs (k0 == steps).
     step = ControlDecision(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0, converged=True,
@@ -362,7 +368,8 @@ def simulate(
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
         if np.abs(y_now).max() > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"output left the admissible region at step {k}", step=k, log=log)
+            raise DivergenceError(f"output left the admissible region at step {k}", step=k,
+                                  log=_stacked_log(dims, controller_variant, w, box, records, diverged_at=k))
         if k < steps:
             target = _reference_sample(reference, k + 1, dims.My)
             # Linearization point at step k-1.
@@ -379,54 +386,15 @@ def simulate(
                 else:
                     step = _solve_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty)
         else:  # the final row holds the last input and the last step's blocks
-            step = step._replace(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0)
-        log.records.append(
-            SimRecord(k=k, y=y_now, y_ref=ref_now, u=step.u, delta_u=step.delta_u, output_blocks=step.output_blocks,
-                      input_blocks=step.input_blocks, cost=step.cost, iterations=step.iterations)
-        )
+            step = step._replace(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0, converged=True)
+        records.append((ref_now, y_now, step.u, step.delta_u, step.cost, step.iterations, step.converged,
+                        step.output_blocks, step.input_blocks))
         if k < steps:
             y_next = plant._checked_eval(y_hist[:n_y] + [step.u] + u_hist[:dims.nu])
             y_hist = [y_next] + y_hist[:-1]
             u_hist = [step.u] + u_hist[:-1]
             ref_now = target
-    return log
-
-
-@dataclass
-class BatchLog:
-    """The records of simulate_batch, stacked; row i ran under weightings[i].
-
-    Record k of row i sits at index k - 1 of the step axis.  diverged_at[i]
-    is the step at which row i's output left the admissible region, 0 if the
-    row ran to the end; a diverged row logged diverged_at[i] - 1 records, and
-    entries past them are not records.
-    """
-
-    dims: Dimensions
-    weightings: tuple[Weighting, ...]
-    y_ref: np.ndarray  # (steps, My), shared by every row
-    y: np.ndarray  # (B, steps, My)
-    u: np.ndarray  # (B, steps, Mu)
-    delta_u: np.ndarray  # (B, steps, Mu)
-    cost: np.ndarray  # (B, steps)
-    output_blocks: np.ndarray  # (B, steps, Ly, My, My)
-    input_blocks: np.ndarray  # (B, steps, Lu, My, Mu)
-    diverged_at: np.ndarray  # (B,)
-
-    def length(self, i: int) -> int:
-        """Records logged by row i."""
-        return int(self.diverged_at[i]) - 1 if self.diverged_at[i] else self.y.shape[1]
-
-    def log(self, i: int) -> SimLog:
-        """Row i as the SimLog of simulate: the partial log carried by its DivergenceError if it diverged."""
-        out, inp = self.output_blocks[i], self.input_blocks[i]
-        records = [
-            SimRecord(k=n + 1, y=self.y[i, n], y_ref=self.y_ref[n], u=self.u[i, n], delta_u=self.delta_u[i, n],
-                      output_blocks=tuple(out[n]), input_blocks=tuple(inp[n]), cost=float(self.cost[i, n]),
-                      iterations=0)
-            for n in range(self.length(i))
-        ]
-        return SimLog(dims=self.dims, variant="first_order", weighting=self.weightings[i], records=records)
+    return _stacked_log(dims, controller_variant, w, box, records)
 
 
 def _stacked_mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -501,10 +469,10 @@ def simulate_batch(
     steps: int,
     init: RegressorWindow,
     weightings: Sequence[Weighting],
-) -> BatchLog:
+) -> list[SimLog]:
     """Run the first-order law once per weighting on one plant, all runs stacked.
 
-    Row i gives, bit for bit, the log of simulate(plant, "first_order",
+    Log i gives, bit for bit, the log of simulate(plant, "first_order",
     reference, steps, init, weightings[i]); the reference and the init window
     are shared.  Each step is one stacked pass over the rows still running:
     one batched plant evaluation for all their finite-difference points,
@@ -512,11 +480,12 @@ def simulate_batch(
     where either fails take controller._solve_step's fallback, one by one),
     and one batched plant step.  A row whose output leaves
     [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] leaves the stack at that step and
-    keeps its partial records (BatchLog.diverged_at); it raises nothing.
-    Every other error of simulate (argument checks, reference and plant
-    output shape, non-finite plant outputs or pseudo-Jacobian blocks, a
-    rank-deficient lead block under zero weighting) is raised for the whole
-    batch.  The blocks are checked before the solve.
+    keeps its partial records, the log its DivergenceError would carry
+    (SimLog.diverged_at); it raises nothing.  Every other error of simulate
+    (argument checks, reference and plant output shape, non-finite plant
+    outputs or pseudo-Jacobian blocks, a rank-deficient lead block under zero
+    weighting) is raised for the whole batch.  The blocks are checked before
+    the solve.  Each log is a view into arrays shared by the batch.
     """
     dims = plant.dims
     weightings = tuple(weightings)
@@ -531,32 +500,30 @@ def simulate_batch(
     entries = np.array([w.entries for w in weightings])
     penalty = np.array([w.matrix for w in weightings])
 
-    log = BatchLog(
-        dims=dims, weightings=weightings,
-        y_ref=np.full((steps, dims.My), np.nan),
-        y=np.full((count, steps, dims.My), np.nan),
-        u=np.full((count, steps, dims.Mu), np.nan),
-        delta_u=np.full((count, steps, dims.Mu), np.nan),
-        cost=np.full((count, steps), np.nan),
-        output_blocks=np.zeros((count, steps, dims.Ly, dims.My, dims.My)),  # the zero seed where no step ran
-        input_blocks=np.zeros((count, steps, dims.Lu, dims.My, dims.Mu)),
-        diverged_at=np.zeros(count, dtype=int),
-    )
+    # Row i's record k sits at [i, k - 1]; entries past a diverged row's records are not records.
+    y_ref = np.full((steps, dims.My), np.nan)  # shared by every row
+    y_log = np.full((count, steps, dims.My), np.nan)
+    u_log = np.full((count, steps, dims.Mu), np.nan)
+    du_log = np.full((count, steps, dims.Mu), np.nan)
+    cost_log = np.full((count, steps), np.nan)
+    out_log = np.zeros((count, steps, dims.Ly, dims.My, dims.My))  # the zero seed where no step ran
+    in_log = np.zeros((count, steps, dims.Lu, dims.My, dims.Mu))
+    diverged_at = np.zeros(count, dtype=int)
 
     # Pre-history rows come straight from the init window.
-    log.y_ref[:k0] = refs
+    y_ref[:k0] = refs
     for k in range(1, k0):
-        log.y[:, k - 1] = y_hist[k0 - k]
-        log.u[:, k - 1] = u_hist[k0 - 1 - k]
-        log.delta_u[:, k - 1] = u_hist[k0 - 1 - k] - u_hist[k0 - k]
-        log.cost[:, k - 1] = 0.0
+        y_log[:, k - 1] = y_hist[k0 - k]
+        u_log[:, k - 1] = u_hist[k0 - 1 - k]
+        du_log[:, k - 1] = u_hist[k0 - 1 - k] - u_hist[k0 - k]
+        cost_log[:, k - 1] = 0.0
 
     rows = np.arange(count)  # the rows still running, in batch order
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
         left = np.abs(y_now).max(axis=1) > DIVERGENCE_LIMIT
         if left.any():
-            log.diverged_at[rows[left]] = k
+            diverged_at[rows[left]] = k
             stay = ~left
             rows = rows[stay]
             if rows.size == 0:
@@ -566,14 +533,14 @@ def simulate_batch(
             entries, penalty = entries[stay], penalty[stay]
             y_now = y_hist[0]
         at = (rows, k - 1)
-        log.y[at] = y_now
+        y_log[at] = y_now
         if k == steps:  # the final row holds the last input and the last step's blocks
-            log.u[at] = u_hist[0]
-            log.delta_u[at] = 0.0
-            log.cost[at] = 0.0
+            u_log[at] = u_hist[0]
+            du_log[at] = 0.0
+            cost_log[at] = 0.0
             if k > k0:
-                log.output_blocks[at] = log.output_blocks[rows, k - 2]
-                log.input_blocks[at] = log.input_blocks[rows, k - 2]
+                out_log[at] = out_log[rows, k - 2]
+                in_log[at] = in_log[rows, k - 2]
             break
         target = _reference_sample(reference, k + 1, dims.My)
         # Linearization point at step k-1.
@@ -582,15 +549,25 @@ def simulate_batch(
         _check_finite(out_blocks, in_blocks)
         delta_u, cost = _stacked_solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty)
         u = u_hist[0] + delta_u
-        log.u[at] = u
-        log.delta_u[at] = delta_u
-        log.cost[at] = cost
+        u_log[at] = u
+        du_log[at] = delta_u
+        cost_log[at] = cost
         for i, block in enumerate(out_blocks):
-            log.output_blocks[rows, k - 1, i] = block
+            out_log[rows, k - 1, i] = block
         for j, block in enumerate(in_blocks):
-            log.input_blocks[rows, k - 1, j] = block
+            in_log[rows, k - 1, j] = block
         y_next = plant._checked_batch(y_hist[:n_y] + [u] + u_hist[:dims.nu])
         y_hist = [y_next] + y_hist[:-1]
         u_hist = [u] + u_hist[:-1]
-        log.y_ref[k] = target
-    return log
+        y_ref[k] = target
+
+    # The first-order law takes no iterations and always converges.
+    iterations = np.zeros(steps, dtype=int)
+    converged = np.ones(steps, dtype=bool)
+    logs = []
+    for i, w in enumerate(weightings):
+        n = diverged_at[i] - 1 if diverged_at[i] else steps
+        logs.append(SimLog(dims, "first_order", w, y_ref[:n], y_log[i, :n], u_log[i, :n], du_log[i, :n],
+                           cost_log[i, :n], iterations[:n], converged[:n], out_log[i, :n], in_log[i, :n],
+                           diverged_at=int(diverged_at[i])))
+    return logs

@@ -89,8 +89,7 @@ def ramp_sim_offset(lam, steps=5000):
         plant, "first_order", RampReference(1, Ts=1.0), steps=steps,
         init=zero_window(plant.dims), w=Weighting.uniform(lam, 1),
     )
-    last = log.records[-1]
-    return float(last.y_ref[0] - last.y[0])
+    return float(log.y_ref[-1, 0] - log.y[-1, 0])
 
 
 def test_criterion_1_linear_plants_recovered_exactly():
@@ -171,8 +170,7 @@ def test_criterion_3_step_error_vanishes():
             plant, "first_order", StepReference(2, 1.0), steps=10000,
             init=zero_window(plant.dims), w=w,
         )
-        last = log.records[-1]
-        worst_sim = max(worst_sim, float(np.max(np.abs(last.y_ref - last.y))))
+        worst_sim = max(worst_sim, float(np.max(np.abs(log.y_ref[-1] - log.y[-1]))))
     ok = worst_analytic <= 1e-10 and worst_sim <= 1e-6
     assert verdict(
         3, ok,
@@ -208,11 +206,11 @@ def test_criterion_4_bench_plant_reproduction():
             box=box if variant == "constrained" else None,
             pjm_seed=PseudoJacobian.constant(0.01, dims),
         )
-        bounded = max(float(np.max(np.abs(r.y))) for r in log.records) < 1e3
-        err = np.array([np.abs(r.y_ref - r.y) for r in log.records if 100 < r.k <= 400])
+        bounded = float(np.max(np.abs(log.y))) < 1e3
+        err = np.abs(log.y_ref - log.y)[100:400]  # 100 < k <= 400
         smooth_max = err.max(axis=0)
         under = bool(np.all(smooth_max < np.asarray(baseline)))
-        in_box = all(box.contains(r.u) for r in log.records)
+        in_box = all(box.contains(u) for u in log.u)
         if variant == "constrained":
             ok = ok and in_box
         ok = ok and bounded and under
@@ -410,14 +408,14 @@ def test_criterion_8_stability_oracle_agrees_with_simulation():
             y_history=[np.ones(size)], u_history=[np.zeros(size)],
         )
         weightings = [Weighting.uniform(lam, size) for lam in grid]
-        # one batched run per loop; row i is simulate's first-order run at grid[i]
-        batch = simulate_batch(plant, ZeroReference(size), 5000, init, weightings)
-        for i, (lam, w) in enumerate(zip(grid, weightings)):
+        # one batched run per loop; log i is simulate's first-order run at grid[i]
+        logs = simulate_batch(plant, ZeroReference(size), 5000, init, weightings)
+        for lam, w, log in zip(grid, weightings, logs):
             predicted = stability_check(closed_loop_matrix(pjm, w)).stable
-            if batch.diverged_at[i]:
+            if log.diverged_at:
                 bounded = False
             else:
-                peak = float(np.max(np.abs(batch.y[i])))
+                peak = float(np.max(np.abs(log.y)))
                 bounded = peak <= 1e3
             if predicted != bounded:
                 disagreements.append(f"{name}@lam={lam}")

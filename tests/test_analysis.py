@@ -272,8 +272,7 @@ def test_step_error_zero_2x2_with_simulation_oracle():
     z = np.zeros(2)
     init = RegressorWindow(plant.dims, k=1, y_history=(z, z), u_history=(z, z))
     log = simulate(plant, "first_order", StepReference(2), 10000, init, w)
-    last = log.records[-1]
-    assert np.linalg.norm(last.y_ref - last.y) <= 1e-6
+    assert np.linalg.norm(log.y_ref[-1] - log.y[-1]) <= 1e-6
 
 
 # --------------------------------------------------- one analysis per loop

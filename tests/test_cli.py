@@ -270,6 +270,17 @@ def test_stability_grid(tmp_path):
     assert math.isnan(float(rows[0]["ess1"]))
 
 
+@pytest.mark.parametrize("verb", ["sweep", "stability"])
+def test_single_point_grid_at_huge_lambda_draws_its_chart(tmp_path, verb):
+    # a fixed x pad of 0.5 rounds away at 1e16; the pad scales with the value instead
+    out = tmp_path / "run"
+    assert main([verb, "--lambda", "1e16", "--out", str(out)]) == 0
+    root = ET.parse(out / f"{verb}_scalar.svg").getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    points = root.findall("{http://www.w3.org/2000/svg}circle")
+    assert points and all(math.isfinite(float(p.get("cx"))) for p in points)
+
+
 # ----------------------------------------------------------- reproducibility
 
 

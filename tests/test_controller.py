@@ -321,4 +321,5 @@ def test_decision_carries_the_given_pseudo_jacobian_bitwise():
     box = BoxConstraints(np.full(2, -0.5), np.full(2, 0.5))
     for dec in (mfac_step(pjm, win, win.y_history[0], rng.randn(2), w),
                 mfac_constrained_step(pjm, win, win.y_history[0], rng.randn(2), w, box)):
-        assert dec.pjm.flattened().tobytes() == pjm.flattened().tobytes()
+        carried = PseudoJacobian(tuple(dec.output_blocks), tuple(dec.input_blocks))
+        assert carried.flattened().tobytes() == pjm.flattened().tobytes()

@@ -17,7 +17,6 @@ from mfaclab.edlm import (
     PseudoJacobian,
     RegressorWindow,
     pjm_csv_header,
-    pjm_csv_values,
     pjm_first_order,
     pjm_second_order,
     predict_delta_output,
@@ -410,6 +409,6 @@ def test_csv_header_and_values_align():
         (np.array([[1.0, 2.0], [3.0, 4.0]]),),
         (np.array([[5.0, 6.0], [7.0, 8.0]]), np.array([[9.0, 10.0], [11.0, 12.0]])),
     )
-    values = pjm_csv_values(pjm)
+    values = pjm.flattened().ravel().tolist()  # row-major, as SimLog.csv_rows writes the blocks
     assert values == [1.0, 2.0, 5.0, 6.0, 9.0, 10.0, 3.0, 4.0, 7.0, 8.0, 11.0, 12.0]
     assert len(values) == len(header)

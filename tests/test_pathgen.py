@@ -1,6 +1,5 @@
 """Tests for quintic timing laws, quaternion arcs, and Cartesian path sampling."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from mfaclab.errors import DegenerateDirectionError, ShapeError
 from mfaclab.kinematics import TaskVector, angle_axis_error, rotation_from_euler
 from mfaclab.pathgen import (
-    PATH_SCHEMA,
     CartesianPath,
     PathSpec,
     QuinticCoeffs,
@@ -297,18 +295,3 @@ def test_generate_path_pure_rotation():
         np.testing.assert_array_equal(sample.position, start.position)
     with pytest.raises(ValueError):
         generate_path(PathSpec(start=start, goal=start, tf=1.0, T0=0.25))
-
-
-def test_path_csv_layout():
-    path = generate_path(PathSpec(start=task(0, 0, 0), goal=task(1, 2, 3), tf=1.0, T0=0.5))
-    buf = io.StringIO()
-    path.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == f"# schema: {PATH_SCHEMA}"
-    assert lines[1] == "t,x,y,z,alpha,beta,gamma"
-    assert len(lines) == 2 + len(path)
-    fields = lines[-1].split(",")
-    assert float(fields[0]) == 1.0
-    np.testing.assert_array_equal(
-        [float(v) for v in fields[1:]], path.samples[-1].as_array()
-    )

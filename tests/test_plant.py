@@ -16,6 +16,7 @@ from mfaclab.cli import LAMBDA_GRID, TEST_LOOPS
 from mfaclab.controller import (
     QUARTIC_MAX_PASSES,
     QUARTIC_TOL,
+    SWEEP_MAX,
     BoxConstraints,
     Weighting,
     mfac_constrained_step,
@@ -42,7 +43,6 @@ from mfaclab.plant import (
     RampReference,
     ReferenceSignal,
     SimLog,
-    SimRecord,
     StepReference,
     ZeroReference,
     example1_reference,
@@ -198,7 +198,7 @@ def test_simulate_zero_reference_stays_zero():
             box=box if variant == "constrained" else None,
         )
         assert len(log) == 40
-        assert all(np.all(r.y == 0.0) and np.all(r.u == 0.0) for r in log.records)
+        assert np.all(log.y == 0.0) and np.all(log.u == 0.0)
 
 
 def test_simulate_prehistory_rows_come_from_window():
@@ -212,18 +212,13 @@ def test_simulate_prehistory_rows_come_from_window():
     )
     seed = PseudoJacobian.constant(0.5, dims)
     log = simulate(plant, "first_order", ZeroReference(1), 6, init, Weighting.uniform(0.1, 1), pjm_seed=seed)
-    r1, r2, r3 = log.records[:3]
-    assert (r1.k, r2.k, r3.k) == (1, 2, 3)
-    np.testing.assert_array_equal(r1.y, [1.0])
-    np.testing.assert_array_equal(r2.y, [2.0])
-    np.testing.assert_array_equal(r3.y, [3.0])
-    np.testing.assert_array_equal(r1.u, [0.2])
-    np.testing.assert_array_equal(r2.u, [0.3])
-    np.testing.assert_allclose(r1.delta_u, [0.1], rtol=1e-15)
-    np.testing.assert_allclose(r2.delta_u, [0.1], rtol=1e-15)
-    for r in (r1, r2):
-        assert r.iterations == 0 and r.cost == 0.0
-        np.testing.assert_array_equal(r.pjm.input_blocks[0], seed.input_blocks[0])
+    assert [row[0] for row in log.csv_rows()[:3]] == [1, 2, 3]
+    np.testing.assert_array_equal(log.y[:3], [[1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(log.u[:2], [[0.2], [0.3]])
+    np.testing.assert_allclose(log.delta_u[:2], [[0.1], [0.1]], rtol=1e-15)
+    for i in (0, 1):
+        assert log.iterations[i] == 0 and log.cost[i] == 0.0 and log.converged[i]
+        np.testing.assert_array_equal(log.input_blocks[i, 0], seed.input_blocks[0])
 
 
 def test_simulate_final_row_holds_input():
@@ -236,11 +231,10 @@ def test_simulate_final_row_holds_input():
         init=zero_window(plant.dims),
         w=Weighting.uniform(0.1, 1),
     )
-    last, prev = log.records[-1], log.records[-2]
-    assert last.k == 30
-    np.testing.assert_array_equal(last.u, prev.u)
-    np.testing.assert_array_equal(last.delta_u, [0.0])
-    assert last.iterations == 0 and last.cost == 0.0
+    assert len(log) == 30 and log.diverged_at == 0
+    np.testing.assert_array_equal(log.u[-1], log.u[-2])
+    np.testing.assert_array_equal(log.delta_u[-1], [0.0])
+    assert log.iterations[-1] == 0 and log.cost[-1] == 0.0 and log.converged[-1]
 
 
 def test_simulate_step_tracking_converges():
@@ -253,7 +247,7 @@ def test_simulate_step_tracking_converges():
         init=zero_window(plant.dims),
         w=Weighting.uniform(0.1, 1),
     )
-    tail = [abs(r.y_ref[0] - r.y[0]) for r in log.records if r.k > 150]
+    tail = np.abs(log.y_ref[150:, 0] - log.y[150:, 0])  # k > 150
     assert max(tail) < 1e-8
 
 
@@ -268,8 +262,8 @@ def test_simulate_divergence_aborts_with_partial_log():
         simulate(plant, "first_order", ZeroReference(1), 60, init, Weighting.uniform(1e9, 1))
     assert err.value.step == 14
     assert len(err.value.log) == 13
-    assert err.value.log.records[-1].k == 13
-    assert abs(err.value.log.records[-1].y[0]) > DIVERGENCE_LIMIT / 3.5
+    assert err.value.log.diverged_at == 14
+    assert abs(err.value.log.y[-1, 0]) > DIVERGENCE_LIMIT / 3.5
 
 
 def test_simulate_ramp_settles_to_analytic_offset():
@@ -285,7 +279,7 @@ def test_simulate_ramp_settles_to_analytic_offset():
         init=zero_window(plant.dims),
         w=Weighting.uniform(lam, 1),
     )
-    measured = log.records[-1].y_ref[0] - log.records[-1].y[0]
+    measured = log.y_ref[-1, 0] - log.y[-1, 0]
     pjm = PseudoJacobian((), (np.array([[1.0]]),))
     analytic = ramp_static_error(pjm, Weighting.uniform(lam, 1), Ts=1.0)[0]
     assert analytic == pytest.approx(0.2, rel=1e-12)
@@ -320,13 +314,13 @@ def example1_run(variant, steps=800, lam=0.2):
 def smooth_segment_max(log):
     # the waveform switches to a square wave after step 400; per-step jumps
     # there are reference discontinuities, not controller error
-    err = np.array([np.abs(r.y_ref - r.y) for r in log.records if 100 < r.k <= 400])
+    err = np.abs(log.y_ref - log.y)[100:400]  # 100 < k <= 400
     return err.max(axis=0)
 
 
 def test_benchmark_first_order_tracks():
     log = example1_run("first_order")
-    assert max(np.max(np.abs(r.y)) for r in log.records) < 5.0
+    assert np.max(np.abs(log.y)) < 5.0
     assert np.all(smooth_segment_max(log) < 0.05)
 
 
@@ -335,7 +329,7 @@ def test_benchmark_constrained_respects_box():
     report = metrics(log, transient_cutoff=100)
     assert report.constraint_violations == 0
     lo, hi = log.box.lower, log.box.upper
-    assert all(np.all(r.u >= lo) and np.all(r.u <= hi) for r in log.records)
+    assert np.all(log.u >= lo) and np.all(log.u <= hi)
     assert np.all(smooth_segment_max(log) < 0.5)
 
 
@@ -344,15 +338,12 @@ def test_benchmark_constrained_respects_box():
 
 def manual_log(errors, us=None, box=None):
     dims = Dimensions.preferred(My=1, Mu=1, ny=0, nu=0)
-    pjm = PseudoJacobian.constant(0.0, dims)
-    log = SimLog(dims=dims, variant="first_order", weighting=Weighting.uniform(0.1, 1), box=box)
-    for i, e in enumerate(errors):
-        u = np.array([us[i]]) if us is not None else np.zeros(1)
-        log.records.append(
-            SimRecord(k=i + 1, y=np.array([0.0]), y_ref=np.array([e]), u=u, delta_u=np.zeros(1),
-                      output_blocks=pjm.output_blocks, input_blocks=pjm.input_blocks, cost=0.0, iterations=0)
-        )
-    return log
+    n = len(errors)
+    u = np.array(us if us is not None else [0.0] * n).reshape(n, 1)
+    return SimLog(dims=dims, variant="first_order", weighting=Weighting.uniform(0.1, 1), box=box,
+                  y_ref=np.array(errors).reshape(n, 1), y=np.zeros((n, 1)), u=u, delta_u=np.zeros((n, 1)),
+                  cost=np.zeros(n), iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
+                  output_blocks=np.zeros((n, 1, 1, 1)), input_blocks=np.zeros((n, 1, 1, 1)))
 
 
 def test_metrics_perfect_tracking_is_zero():
@@ -406,16 +397,16 @@ def test_csv_layout_and_round_trip():
 
     # repr round trip: parsed floats equal the logged arrays exactly
     idx = {name: i for i, name in enumerate(header)}
-    for row, rec in zip(data, log.records):
-        assert int(row[idx["k"]]) == rec.k
-        assert float(row[idx["y1"]]) == rec.y[0]
-        assert float(row[idx["y2"]]) == rec.y[1]
-        assert float(row[idx["u1"]]) == rec.u[0]
-        assert float(row[idx["du2"]]) == rec.delta_u[1]
-        assert float(row[idx["cost"]]) == rec.cost
-        assert int(row[idx["iters"]]) == rec.iterations
-        assert float(row[idx["Phi1[0,0]"]]) == rec.pjm.output_blocks[0][0, 0]
-        assert float(row[idx["Phi3[1,0]"]]) == rec.pjm.input_blocks[1][1, 0]
+    for n, row in enumerate(data):
+        assert int(row[idx["k"]]) == n + 1
+        assert float(row[idx["y1"]]) == log.y[n, 0]
+        assert float(row[idx["y2"]]) == log.y[n, 1]
+        assert float(row[idx["u1"]]) == log.u[n, 0]
+        assert float(row[idx["du2"]]) == log.delta_u[n, 1]
+        assert float(row[idx["cost"]]) == log.cost[n]
+        assert int(row[idx["iters"]]) == log.iterations[n]
+        assert float(row[idx["Phi1[0,0]"]]) == log.output_blocks[n, 0, 0, 0]
+        assert float(row[idx["Phi3[1,0]"]]) == log.input_blocks[n, 1, 1, 0]
 
 
 def test_csv_rerun_is_byte_identical():
@@ -510,20 +501,30 @@ def replay(plant, variant, reference, steps, init, w, box=None, pjm_seed=None):
     y_hist += [np.zeros(dims.My)] * (depth_y - len(y_hist))
     u_hist = [np.array(v, dtype=float) for v in init.u_history]
     u_hist += [np.zeros(dims.Mu)] * (depth_u - len(u_hist))
-    log = SimLog(dims=dims, variant=variant, weighting=w, box=box)
+    records = []  # per step: y_ref, y, u, delta_u, cost, iterations, converged, pseudo-Jacobian
+
+    def log(diverged_at=0):
+        n = len(records)
+        refs, ys, us, dus, costs, iters, flags, pjms = list(zip(*records)) or [()] * 8
+        return SimLog(dims=dims, variant=variant, weighting=w, box=box, diverged_at=diverged_at,
+                      y_ref=np.array(refs).reshape(n, dims.My), y=np.array(ys).reshape(n, dims.My),
+                      u=np.array(us).reshape(n, dims.Mu), delta_u=np.array(dus).reshape(n, dims.Mu),
+                      cost=np.array(costs, dtype=float), iterations=np.array(iters, dtype=int),
+                      converged=np.array(flags, dtype=bool),
+                      output_blocks=np.array([p.output_blocks for p in pjms]).reshape(n, dims.Ly, dims.My, dims.My),
+                      input_blocks=np.array([p.input_blocks for p in pjms]).reshape(n, dims.Lu, dims.My, dims.Mu))
+
     seed = pjm_seed if pjm_seed is not None else PseudoJacobian.constant(0.0, dims)
     for k in range(1, k0):
         u_k = u_hist[k0 - 1 - k]
-        log.records.append(SimRecord(k, y_hist[k0 - k], reference.sample(k), u_k, u_k - u_hist[k0 - k],
-                                     seed.output_blocks, seed.input_blocks, 0.0, 0))
+        records.append((reference.sample(k), y_hist[k0 - k], u_k, u_k - u_hist[k0 - k], 0.0, 0, True, seed))
     pjm = seed
     for k in range(k0, steps + 1):
         y_now = y_hist[0]
         if np.max(np.abs(y_now)) > DIVERGENCE_LIMIT:
-            raise DivergenceError("diverged", step=k, log=log)
+            raise DivergenceError("diverged", step=k, log=log(diverged_at=k))
         if k == steps:
-            log.records.append(SimRecord(k, y_now, reference.sample(k), u_hist[0], np.zeros(dims.Mu),
-                                         pjm.output_blocks, pjm.input_blocks, 0.0, 0))
+            records.append((reference.sample(k), y_now, u_hist[0], np.zeros(dims.Mu), 0.0, 0, True, pjm))
             break
         target = reference.sample(k + 1)
         window = RegressorWindow(dims=dims, k=k, y_history=y_hist, u_history=u_hist)
@@ -535,21 +536,26 @@ def replay(plant, variant, reference, steps, init, w, box=None, pjm_seed=None):
                 decision = mfac_constrained_step(pjm_first_order(plant, point), window, y_now, target, w, box)
             else:
                 decision = mfac_step(pjm_first_order(plant, point), window, y_now, target, w)
-        pjm = decision.pjm
-        log.records.append(SimRecord(k, y_now, reference.sample(k), decision.u, decision.delta_u,
-                                     pjm.output_blocks, pjm.input_blocks, decision.cost, decision.iterations))
+        pjm = PseudoJacobian(tuple(decision.output_blocks), tuple(decision.input_blocks))
+        records.append((reference.sample(k), y_now, decision.u, decision.delta_u, decision.cost, decision.iterations,
+                        decision.converged, pjm))
         args = y_hist[: dims.ny + 1] + [decision.u] + u_hist[: dims.nu]
         y_hist = [plant._checked_eval(args)] + y_hist[:-1]
         u_hist = [decision.u] + u_hist[:-1]
-    return log
+    return log()
+
+
+def assert_same_arrays(got, want):
+    """Every array field of two logs, and their divergence steps, are equal."""
+    assert len(got) == len(want)
+    for f in dataclasses.fields(SimLog):
+        if isinstance(getattr(want, f.name), np.ndarray):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert got.diverged_at == want.diverged_at
 
 
 def assert_same_log(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got.records, want.records):
-        for f in dataclasses.fields(SimRecord):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert np.array_equal(x, y), (a.k, f.name)
+    assert_same_arrays(got, want)
     first, second = io.StringIO(), io.StringIO()
     got.to_csv(first)
     want.to_csv(second)
@@ -768,12 +774,12 @@ def simulate_or_divergence(plant, reference, steps, init, w):
 
 
 def assert_rows_match_simulate(batch, plant, reference, steps, init):
-    """Row i of the batch has simulate's divergence step, record count and CSV bytes."""
-    for i, w in enumerate(batch.weightings):
-        log, step = simulate_or_divergence(plant, reference, steps, init, w)
-        assert batch.diverged_at[i] == step, i
-        assert batch.length(i) == len(log), i
-        assert csv_bytes(batch.log(i)) == csv_bytes(log), i
+    """Log i of the batch has simulate's divergence step, every array field and CSV bytes."""
+    for i, row in enumerate(batch):
+        log, step = simulate_or_divergence(plant, reference, steps, init, row.weighting)
+        assert row.diverged_at == step, i
+        assert_same_arrays(row, log)
+        assert csv_bytes(row) == csv_bytes(log), i
 
 
 def batch_matching_simulate(plant, reference, steps, init, weightings):
@@ -806,7 +812,7 @@ def test_batch_rows_match_simulate_on_sweep_grid(loop, monkeypatch):
     batch = simulate_batch(plant, RampReference(size), 600, init, weightings)
     assert fallback.calls == 0  # every lead block of these loops passes the stacked Cholesky check
     monkeypatch.undo()
-    assert np.count_nonzero(batch.diverged_at) == (9 if loop == "mimo2" else 0)  # mimo2 is unstable from 0.55
+    assert sum(log.diverged_at > 0 for log in batch) == (9 if loop == "mimo2" else 0)  # mimo2 is unstable from 0.55
     assert_rows_match_simulate(batch, plant, RampReference(size), 600, init)
 
 
@@ -815,7 +821,8 @@ def test_single_row_batch_matches_simulate_on_bench_plant():
     plant = Example1Plant()
     init = RegressorWindow(dims=plant.dims, k=3, y_history=[np.full(2, 0.1)] * 3, u_history=[np.full(2, -0.1)] * 2)
     batch = batch_matching_simulate(plant, Example1Reference(), 60, init, [Weighting.uniform(0.2, 2)])
-    assert batch.y.shape == (1, 60, 2)
+    assert len(batch) == 1 and batch[0].y.shape == (60, 2)
+    assert batch[0].converged.all()  # the first-order law always converges, in both kernels
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -913,6 +920,76 @@ def test_batch_row_leaves_at_divergence_with_partial_records():
     init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.array([1.0])], u_history=[np.zeros(1)])
     batch = batch_matching_simulate(plant, ZeroReference(1), 60, init,
                                     [Weighting.uniform(1e9, 1), Weighting.uniform(0.1, 1)])
-    assert list(batch.diverged_at) == [14, 0]
-    assert batch.length(0) == 13 and len(batch.log(0)) == 13
-    assert batch.length(1) == len(batch.log(1)) == 60
+    assert [log.diverged_at for log in batch] == [14, 0]
+    assert len(batch[0]) == 13
+    assert len(batch[1]) == 60
+
+
+# ------------------------------------------------------ log layout edges
+
+
+def static_two_by_two():
+    """y(k+1) = B u(k), no output feedback (Ly = 0), with a nearly singular B."""
+    return LTIPlant(a_blocks=[], b_blocks=[[[1.0, 1.0], [0.0, 1e-4]]])
+
+
+def test_simulate_flags_the_steps_where_the_box_law_caps_out():
+    plant = static_two_by_two()
+    box = BoxConstraints(lower=np.full(2, -10.0), upper=np.full(2, 10.0))
+    log = simulate(plant, "constrained", StepReference(2, 0.5), 6, zero_window(plant.dims), Weighting.uniform(0.0, 2),
+                   box=box)
+    assert list(log.iterations) == [SWEEP_MAX] * 5 + [0]
+    assert list(log.converged) == [False] * 5 + [True]  # the final row runs no law
+    assert not any("conv" in name for name in log.csv_header())  # in memory only
+
+
+def test_csv_rows_of_a_plant_without_output_blocks():
+    plant = static_two_by_two()
+    w = Weighting.uniform(0.1, 2)
+    log = simulate(plant, "first_order", StepReference(2, 0.5), 6, zero_window(plant.dims), w)
+    assert log.output_blocks.shape == (6, 0, 2, 2) and log.input_blocks.shape == (6, 1, 2, 2)
+    header = log.csv_header()
+    assert header[header.index("iters") + 1:] == ["Phi1[0,0]", "Phi1[0,1]", "Phi1[1,0]", "Phi1[1,1]"]
+    for n, row in enumerate(log.csv_rows()):
+        assert len(row) == len(header)
+        assert row[-4:] == PseudoJacobian((), tuple(log.input_blocks[n])).flattened().ravel().tolist()
+    assert_cells_round_trip(log)
+    batch_matching_simulate(plant, StepReference(2, 0.5), 6, zero_window(plant.dims), [w])
+
+
+def test_divergence_at_the_first_step_leaves_a_log_without_records():
+    plant = static_two_by_two()
+    init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.full(2, 2 * DIVERGENCE_LIMIT)],
+                           u_history=[np.zeros(2)])
+    w = Weighting.uniform(0.1, 2)
+    with pytest.raises(DivergenceError) as err:
+        simulate(plant, "first_order", StepReference(2, 0.5), 6, init, w)
+    batch = batch_matching_simulate(plant, StepReference(2, 0.5), 6, init, [w, Weighting.uniform(0.5, 2)])
+    for log in (err.value.log, *batch):
+        assert len(log) == 0 and log.diverged_at == 1
+        assert log.y.shape == (0, 2) and log.input_blocks.shape == (0, 1, 2, 2)
+        lines = csv_bytes(log).splitlines()  # the schema line and the header only
+        assert len(lines) == 2 and lines[0] == f"# schema: {SIMLOG_SCHEMA}"
+        assert next(csv.reader(lines[1:])) == log.csv_header()
+        assert log.csv_rows() == [] and log.violations() == 0
+        with pytest.raises(ValueError):
+            metrics(log, transient_cutoff=0)
+
+
+def test_first_step_equal_to_steps_logs_the_window_and_the_final_row():
+    plant = scalar_plant()
+    init = RegressorWindow(dims=plant.dims, k=4, y_history=[np.array([v]) for v in (4.0, 3.0, 2.0, 1.0)],
+                           u_history=[np.array([v]) for v in (0.3, 0.2, 0.1)])
+    w = Weighting.uniform(0.1, 1)
+    seed = PseudoJacobian.constant(0.5, plant.dims)
+    log = simulate(plant, "first_order", StepReference(1, 0.5), 4, init, w, pjm_seed=seed)
+    assert len(log) == 4 and log.diverged_at == 0
+    np.testing.assert_array_equal(log.y[:, 0], [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(log.u[:, 0], [0.1, 0.2, 0.3, 0.3])  # the final row holds the last input
+    np.testing.assert_array_equal(log.delta_u[-1], [0.0])
+    np.testing.assert_array_equal(log.input_blocks, np.full((4, 1, 1, 1), 0.5))  # no step ran: the seed
+    assert not log.iterations.any() and log.converged.all()
+    for variant in VARIANTS:
+        box = BoxConstraints(lower=-np.ones(1), upper=np.ones(1)) if variant == "constrained" else None
+        assert_same_log(*both_runs(plant, variant, StepReference(1, 0.5), 4, init, w, box=box, pjm_seed=seed))
+    batch_matching_simulate(plant, StepReference(1, 0.5), 4, init, [w, Weighting.uniform(0.0, 1)])
