@@ -269,28 +269,13 @@ def _svg_chart(
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    finite = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if finite:
-        xmin = min(p[0] for p in finite)
-        xmax = max(p[0] for p in finite)
-        ymin = min(p[1] for p in finite)
-        ymax = max(p[1] for p in finite)
-    else:
-        xmin = ymin = 0.0
-        xmax = ymax = 1.0
-    xmin, xmax = _widened(xmin, xmax)
-    ymin, ymax = _widened(ymin, ymax)
-
-    def sx(v: float) -> float:
-        return left + (v - xmin) / (xmax - xmin) * plot_w
-
-    def sy(v: float) -> float:
-        return top + (ymax - v) / (ymax - ymin) * plot_h
+    points = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for _, xs, ys in series]
+    finite = [np.isfinite(xs) & np.isfinite(ys) for xs, ys in points]
+    # Python's min and max over the values in series order, so a tie of 0.0 and -0.0 keeps the first.
+    fx = [v for (xs, _), ok in zip(points, finite) for v in xs[ok].tolist()]
+    fy = [v for (_, ys), ok in zip(points, finite) for v in ys[ok].tolist()]
+    xmin, xmax = _widened(min(fx), max(fx)) if fx else (0.0, 1.0)
+    ymin, ymax = _widened(min(fy), max(fy)) if fy else (0.0, 1.0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -334,19 +319,15 @@ def _svg_chart(
         f"{_esc(y_label)}</text>"
     )
 
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, ((label, _, _), (xs, ys), ok) in enumerate(zip(series, points, finite)):
         color = _PALETTE[idx % len(_PALETTE)]
-        segments: list[list[str]] = []
-        run: list[str] = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                run.append(f"{sx(x):.2f},{sy(y):.2f}")
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        for seg in segments:
+        with np.errstate(over="ignore", invalid="ignore"):  # the IEEE operations, and silence, of Python floats
+            px = (left + (xs[ok] - xmin) / (xmax - xmin) * plot_w).tolist()
+            py = (top + (ymax - ys[ok]) / (ymax - ymin) * plot_h).tolist()
+        pixels = [f"{x:.2f},{y:.2f}" for x, y in zip(px, py)]
+        gaps = np.cumsum(~ok)[ok]  # runs of finite points; a non-finite point ends a run
+        cuts = [0, *(np.flatnonzero(np.diff(gaps)) + 1).tolist(), len(pixels)]
+        for seg in (pixels[a:b] for a, b in zip(cuts, cuts[1:]) if b > a):
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')

@@ -168,6 +168,21 @@ def _min_norm_increment(phi_u: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(phi_u, residual, rcond=None)[0]
 
 
+def _lead_solve(phi_u: np.ndarray, residual: np.ndarray, entries: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """The increment that minimizes _cost(phi_u, entries, residual, du); penalty is diag(entries)."""
+    if _takes_min_norm(phi_u, entries):
+        return _min_norm_increment(phi_u, residual)
+    A = phi_u.T @ phi_u + penalty
+    b = phi_u.T @ residual
+    try:
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if np.all(entries == 0.0):
+            return _min_norm_increment(phi_u, residual)
+        return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def _solve_step(
     output_blocks: Sequence[np.ndarray],
     input_blocks: Sequence[np.ndarray],
@@ -181,19 +196,7 @@ def _solve_step(
     """Core of mfac_step on validated operands; penalty is diag(entries)."""
     phi_u = input_blocks[0]
     residual = _history_residual(output_blocks, input_blocks, ys, us, y_now, y_ref)
-    if _takes_min_norm(phi_u, entries):
-        delta_u = _min_norm_increment(phi_u, residual)
-    else:
-        A = phi_u.T @ phi_u + penalty
-        b = phi_u.T @ residual
-        try:
-            np.linalg.cholesky(A)
-            delta_u = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            if np.all(entries == 0.0):
-                delta_u = _min_norm_increment(phi_u, residual)
-            else:
-                delta_u = np.linalg.lstsq(A, b, rcond=None)[0]
+    delta_u = _lead_solve(phi_u, residual, entries, penalty)
     return ControlDecision(
         delta_u=delta_u,
         u=us[0] + delta_u,
@@ -312,35 +315,44 @@ def _quartic_step(
 ) -> ControlDecision:
     """Core of mfac_quartic_step on validated operands.
 
-    args is the linearization point at step k-1.  The first-order blocks and
-    the slot Hessians do not depend on the iterate, so they are computed once;
-    each pass only redoes the half-Hessian correction and the quadratic solve.
-    A non-finite first-order block raises ValueError before the first solve.
+    args is the linearization point at step k-1.  Per step: the first-order
+    blocks and increment, the slot Hessians, and the corrected blocks of all
+    slots but the lead input one (their increments are fixed), so the
+    residual too.  Per pass: the lead input block corrected at the iterate,
+    and _lead_solve.  The cost is formed only for the pass returned (on a
+    cap-out, for every pass).  A non-finite first-order block raises
+    ValueError before the first solve.
     """
     dims = model.dims
     n_y = dims.ny + 1
     blocks = _first_order_blocks(model, args)
     out_blocks, in_blocks = _padded_blocks(dims, blocks)
     _check_finite(out_blocks, in_blocks)
-    delta_u = _solve_step(out_blocks, in_blocks, ys, us, y_now, y_ref, entries, penalty).delta_u
+    residual = _history_residual(out_blocks, in_blocks, ys, us, y_now, y_ref)
+    delta_u = _lead_solve(in_blocks[0], residual, entries, penalty)
     hessians = _slot_hessians(model, args)
     committed = [ys[i] - ys[i + 1] for i in range(n_y)]
     lagged = [us[j] - us[j + 1] if j + 1 < len(us) else np.zeros(dims.Mu) for j in range(dims.nu)]
+    # Corrected at the first iterate; later passes redo only the lead input block, in_blocks[0].
+    out_blocks, in_blocks = _padded_blocks(dims, _curvature_corrected(blocks, hessians, committed + [delta_u] + lagged))
+    residual = _history_residual(out_blocks, in_blocks, ys, us, y_now, y_ref)
+    phi_u = in_blocks[0]
 
-    best: ControlDecision | None = None
+    tried = []  # (delta_u, lead block) of every pass
     converged = False
-    passes = 0
-    for passes in range(1, QUARTIC_MAX_PASSES + 1):
-        corrected = _curvature_corrected(blocks, hessians, committed + [delta_u] + lagged)
-        step = _solve_step(*_padded_blocks(dims, corrected), ys, us, y_now, y_ref, entries, penalty)
-        if best is None or step.cost < best.cost:
-            best = step
-        if np.max(np.abs(step.delta_u - delta_u)) < QUARTIC_TOL:
+    for _ in range(QUARTIC_MAX_PASSES):
+        step_du = _lead_solve(phi_u, residual, entries, penalty)
+        tried.append((step_du, phi_u))
+        if np.abs(step_du - delta_u).max() < QUARTIC_TOL:
             converged = True
             break
-        delta_u = step.delta_u
-    chosen = step if converged else best
-    return chosen._replace(iterations=passes, converged=converged)
+        delta_u = step_du
+        phi_u = _curvature_corrected(blocks[n_y:n_y + 1], hessians[n_y:n_y + 1], [delta_u])[0]
+    # The settled pass; on a cap-out the first of the lowest cost (min keeps the first, as a strict < scan does).
+    step_du, phi_u = tried[-1] if converged else min(tried, key=lambda t: _cost(t[1], entries, residual, t[0]))
+    return ControlDecision(delta_u=step_du, u=us[0] + step_du, cost=_cost(phi_u, entries, residual, step_du),
+                           iterations=len(tried), converged=converged, output_blocks=out_blocks,
+                           input_blocks=[phi_u] + in_blocks[1:])
 
 
 def mfac_quartic_step(

@@ -14,6 +14,7 @@ second-order pseudo-Jacobian approximations from a differentiable model.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,6 +118,8 @@ def _frozen_blocks(blocks, shape: tuple[int, int], kind: str) -> tuple[np.ndarra
 
 def _check_finite(output_blocks: Sequence[np.ndarray], input_blocks: Sequence[np.ndarray]) -> None:
     """Raise ValueError naming the first block, output blocks first, with a non-finite entry."""
+    if np.isfinite(np.concatenate([*output_blocks, *input_blocks], axis=-1)).all():  # one test for the common case
+        return
     for kind, blocks in (("output", output_blocks), ("input", input_blocks)):
         for i, b in enumerate(blocks):
             if not np.isfinite(b).all():
@@ -194,6 +197,10 @@ class DifferentiableModel(ABC):
     evaluate([slot[b] for slot in args]) bit for bit, because the
     finite-difference pseudo-Jacobians go through it.  The default loops over
     evaluate; override it only with arithmetic that rounds identically.
+    Python floats do (numpy's array ** does not): float ** int calls the same
+    libm pow as numpy's scalar **, and + and * round alike.  Where numpy
+    gives inf or NaN, Python raises OverflowError or stays silent, so
+    Example1Plant then redoes the rows on np.float64 scalars.
     """
 
     @property
@@ -263,13 +270,53 @@ def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[
     return list(point.y_history[:n_y]) + list(point.u_history[:n_u])
 
 
-def _batch_args(args: Sequence[np.ndarray], shifts: list) -> list[np.ndarray]:
-    """One copy of args per shift; a shift lists (slot, index, step) additions made in order."""
-    batch = [np.repeat(a[None, :], len(shifts), axis=0) for a in args]
-    for row, shift in enumerate(shifts):
-        for slot, index, step in shift:
-            batch[slot][row, index] += step
-    return batch
+@functools.cache  # one entry per slot-width tuple; a program uses a handful
+def _first_order_table(widths: tuple[int, ...]) -> tuple:
+    """Stencil of _first_order_blocks: flat positions of (2i, i) and (2i+1, i) in the (2n, n) batch, slot columns."""
+    n = sum(widths)
+    up = np.arange(0, 2 * n * n, 2 * n + 1)
+    bounds = np.cumsum((0,) + widths).tolist()
+    return _read_only(up, up + n) + (tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])),)
+
+
+@functools.cache  # one entry per slot-width tuple
+def _hessian_table(widths: tuple[int, ...]) -> tuple:
+    """Stencil of _slot_hessians for these slot widths.
+
+    Row 0 of the batch is the centre.  Then, slot by slot, coordinate i gets
+    rows stepped +h and -h, and each pair i < j of the slot four rows stepped
+    (+h, +h), (+h, -h), (-h, +h), (-h, -h).  Returns the row count, the flat
+    positions of the steps in the (rows, n) batch, the steps, the rows of the
+    n diagonal entries (2, n) and of the mixed entries (4, m), and per slot
+    the (w, w) index of its Hessian into the diagonal-then-mixed entries.
+    """
+    h = HESSIAN_STEP
+    n = sum(widths)
+    shifts, diag, mixed, gathers = [], [], [], []  # shifts: (row, column, step)
+    row = 1
+    for w, offset in zip(widths, np.cumsum((0,) + widths).tolist()):
+        gather = np.empty((w, w), dtype=np.intp)
+        for i in range(w):
+            gather[i, i] = offset + i
+            diag.append((row, row + 1))
+            shifts += [(row, offset + i, h), (row + 1, offset + i, -h)]
+            row += 2
+            for j in range(i + 1, w):
+                gather[i, j] = gather[j, i] = n + len(mixed)
+                mixed.append((row, row + 1, row + 2, row + 3))
+                for si, sj in ((h, h), (h, -h), (-h, h), (-h, -h)):
+                    shifts += [(row, offset + i, si), (row, offset + j, sj)]
+                    row += 1
+        gathers.append(gather)
+    at, columns, steps = (np.array(v) for v in zip(*shifts))
+    return (row, *_read_only(at * n + columns, steps, np.array(diag).reshape(-1, 2).T,
+                             np.array(mixed, dtype=np.intp).reshape(-1, 4).T), _read_only(*gathers))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -279,20 +326,15 @@ def _first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) 
     down in row 2i+1; all rows go through one batched evaluation.  Block s
     has shape (My, width of slot s).
     """
+    up, down, slots = _first_order_table(tuple(a.shape[0] for a in args))
     x = np.concatenate(args)
-    n = x.shape[0]
     h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
-    X = np.repeat(x[None, :], 2 * n, axis=0)
-    # Flat positions of (2i, i); (2i+1, i) lies n further on.
-    up = np.arange(0, 2 * n * n, 2 * n + 1)
+    X = np.repeat(x[None, :], 2 * x.shape[0], axis=0)
     X.reshape(-1)[up] += h
-    X.reshape(-1)[up + n] -= h
-    bounds = [0]
-    for a in args:
-        bounds.append(bounds[-1] + a.shape[0])
-    F = model._checked_batch([X[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    X.reshape(-1)[down] -= h
+    F = model._checked_batch([X[:, s] for s in slots])
     D = ((F[0::2] - F[1::2]) / (2.0 * h)[:, None]).T
-    return [D[:, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+    return [D[:, s].copy() for s in slots]
 
 
 def _stacked_first_order_blocks(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -304,22 +346,18 @@ def _stacked_first_order_blocks(model: DifferentiableModel, args: Sequence[np.nd
     call.  A separate function, so that the one-point path of simulate pays
     nothing for the batch axis.
     """
+    up, down, slots = _first_order_table(tuple(a.shape[1] for a in args))
     x = np.concatenate(args, axis=1)
     count, n = x.shape
     h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
     X = np.repeat(x[:, None, :], 2 * n, axis=1)
-    # Flat positions of (2i, i) within one point's rows; (2i+1, i) lies n further on.
-    up = np.arange(0, 2 * n * n, 2 * n + 1)
     per_point = X.reshape(count, -1)
     per_point[:, up] += h
-    per_point[:, up + n] -= h
+    per_point[:, down] -= h
     X = X.reshape(count * 2 * n, n)
-    bounds = [0]
-    for a in args:
-        bounds.append(bounds[-1] + a.shape[1])
-    F = model._checked_batch([X[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]).reshape(count, 2 * n, -1)
+    F = model._checked_batch([X[:, s] for s in slots]).reshape(count, 2 * n, -1)
     D = ((F[:, 0::2] - F[:, 1::2]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
-    return [D[:, :, lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+    return [D[:, :, s].copy() for s in slots]
 
 
 def _slot_hessians(model: DifferentiableModel, args: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -327,37 +365,21 @@ def _slot_hessians(model: DifferentiableModel, args: Sequence[np.ndarray]) -> li
 
     Entry s has shape (My, w, w) where w is the width of slot s.  Nested
     central differences with a fixed step, all points in one batched
-    evaluation; the result is symmetrized by construction.
+    evaluation (the rows of _hessian_table); the result is symmetrized by
+    construction.
     """
     h = HESSIAN_STEP
-    shifts = [[]]
-    for slot, a in enumerate(args):
-        for i in range(a.shape[0]):
-            shifts += [[(slot, i, h)], [(slot, i, -h)]]
-            for j in range(i + 1, a.shape[0]):
-                shifts += [
-                    [(slot, i, h), (slot, j, h)],
-                    [(slot, i, h), (slot, j, -h)],
-                    [(slot, i, -h), (slot, j, h)],
-                    [(slot, i, -h), (slot, j, -h)],
-                ]
-    F = model._checked_batch(_batch_args(args, shifts))
-    twice_f0 = 2.0 * F[0]
-    row = 1
-    out = []
-    for a in args:
-        w = a.shape[0]
-        H = np.empty((model.dims.My, w, w))
-        for i in range(w):
-            H[:, i, i] = (F[row] - twice_f0 + F[row + 1]) / (h * h)
-            row += 2
-            for j in range(i + 1, w):
-                mixed = (F[row] - F[row + 1] - F[row + 2] + F[row + 3]) / (4.0 * h * h)
-                H[:, i, j] = mixed
-                H[:, j, i] = mixed
-                row += 4
-        out.append(H)
-    return out
+    widths = tuple(a.shape[0] for a in args)
+    rows, positions, steps, diag, mixed, gathers = _hessian_table(widths)
+    slots = _first_order_table(widths)[2]
+    x = np.concatenate(args)
+    X = np.repeat(x[None, :], rows, axis=0)
+    X.reshape(-1)[positions] += steps
+    F = model._checked_batch([X[:, s] for s in slots])
+    up, down = F[diag]
+    pp, pm, mp, mm = F[mixed]
+    entries = np.concatenate([(up - 2.0 * F[0] + down) / (h * h), (pp - pm - mp + mm) / (4.0 * h * h)])
+    return [entries[g].transpose(2, 0, 1).copy() for g in gathers]
 
 
 def _curvature_corrected(

@@ -53,10 +53,35 @@ class Example1Plant(DifferentiableModel):
         return self._DIMS
 
     def evaluate(self, args: Sequence[np.ndarray]) -> np.ndarray:
-        y, u, v = args
-        y1 = -0.1 * y[0] ** 3 + 0.2 * y[1] ** 2 + u[0] + u[1] ** 2 + v[0] ** 3 + 2.0 * v[0] ** 4
-        y2 = -0.1 * y[0] ** 2 + 0.2 * y[1] ** 3 + u[0] ** 2 + 0.8 * u[1] + v[0] ** 3 + v[1] ** 3
-        return np.array([y1, y2])
+        return _example1_outputs([np.concatenate(args, dtype=float).tolist()])[0]
+
+    def evaluate_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        return _example1_outputs(np.concatenate(args, axis=1, dtype=float).tolist())
+
+
+def _example1_map(points) -> list:
+    """The Example1Plant map on each point [y1, y2, u1, u2, v1, v2] (v is u(k-1)), outputs side by side."""
+    out = []
+    for y1, y2, u1, u2, v1, v2 in points:
+        cube = v1 ** 3
+        out += (-0.1 * y1 ** 3 + 0.2 * y2 ** 2 + u1 + u2 ** 2 + cube + 2.0 * v1 ** 4,
+                -0.1 * y1 ** 2 + 0.2 * y2 ** 3 + u1 ** 2 + 0.8 * u2 + cube + v2 ** 3)
+    return out
+
+
+def _example1_outputs(points: list[list[float]]) -> np.ndarray:
+    """_example1_map on Python floats, shape (len(points), 2), with the bits it has on np.float64 scalars.
+
+    Where a power overflows (Python raises) or an output is not finite (Python is silent), on np.float64
+    scalars instead: numpy's inf and NaN, with its RuntimeWarnings.  See DifferentiableModel.evaluate_batch.
+    """
+    try:
+        flat = _example1_map(points)
+        if math.isfinite(sum(flat)):
+            return np.array(flat, dtype=float).reshape(len(points), 2)
+    except OverflowError:
+        pass
+    return np.array(_example1_map([map(np.float64, p) for p in points]), dtype=float).reshape(len(points), 2)
 
 
 class LTIPlant(DifferentiableModel):
@@ -223,7 +248,9 @@ class SimLog:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):  # np.float64 too; most cells, so tested first
+    if type(value) is float:  # most cells, so tested first
+        return repr(value)
+    if isinstance(value, float):  # np.float64
         return repr(float(value))
     if isinstance(value, str):
         return value
@@ -242,7 +269,7 @@ def write_csv(fh: TextIO, schema: str, header: Sequence[str], rows: Iterable[Seq
     # Column names may embed commas (e.g. Phi1[0,0]), so the header needs CSV quoting.
     csv.writer(fh, lineterminator="\n").writerow(header)
     for row in rows:
-        fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write(",".join(map(_cell, row)) + "\n")
 
 
 @dataclass(frozen=True)

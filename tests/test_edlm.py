@@ -254,9 +254,40 @@ def test_batched_first_order_equals_point_by_point_bitwise():
             assert np.array_equal(block, sequential_block(plant, args, slot))
 
 
+class CurvedPlant(DifferentiableModel):
+    """y(k+1) = sum over slots of tanh(M_s x_s) + 0.1 (M_s x_s)^3: curvature, cross terms included, in every slot."""
+
+    def __init__(self, My, Mu, ny, nu, rng):
+        self._dims = Dimensions.preferred(My=My, Mu=Mu, ny=ny, nu=nu)
+        self._mats = [rng.normal(size=(My, w)) for w in [My] * (ny + 1) + [Mu] * (nu + 1)]
+
+    @property
+    def dims(self):
+        return self._dims
+
+    def evaluate(self, args):
+        out = np.zeros(self._dims.My)
+        for m, x in zip(self._mats, args):
+            z = m @ x
+            out += np.tanh(z) + 0.1 * z ** 3
+        return out
+
+
+def curved_operating_points(seed):
+    """Every slot width from 1 to 3 for outputs and inputs, with and without output slots (ny = -1, 0, 1)."""
+    rng = np.random.default_rng(seed)
+    for My in (1, 2, 3):
+        for Mu in (1, 2, 3):
+            for ny in (-1, 0, 1):
+                nu = (My + Mu + ny) % 2
+                plant = CurvedPlant(My, Mu, ny, nu, rng)
+                yield plant, rng.uniform(-0.5, 0.5, size=(ny + 1, My)), rng.uniform(-0.5, 0.5, size=(nu + 1, Mu))
+
+
 def test_batched_second_order_equals_point_by_point_bitwise():
     rng = np.random.default_rng(8)
-    for plant, ys, us in random_operating_points(20, seed=9):
+    points = list(random_operating_points(20, seed=9)) + list(curved_operating_points(seed=10))
+    for plant, ys, us in points:
         args = list(ys) + list(us)
         deltas = [0.1 * rng.normal(size=a.shape) for a in args]
         op = window(plant.dims, 4, list(ys), list(us))
@@ -269,11 +300,12 @@ def test_batched_second_order_equals_point_by_point_bitwise():
 
 
 def test_default_evaluate_batch_loops_over_evaluate():
-    plant = Example1Plant()
     rng = np.random.default_rng(3)
-    args = [rng.normal(size=(5, 2)) for _ in range(3)]
+    plant = CurvedPlant(2, 3, 0, 1, rng)
+    assert "evaluate_batch" not in vars(CurvedPlant)
+    args = [rng.normal(size=(5, 2)), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
     rows = [plant.evaluate([a[b] for a in args]) for b in range(5)]
-    assert np.array_equal(plant.evaluate_batch(args), np.array(rows))
+    assert plant.evaluate_batch(args).tobytes() == np.array(rows).tobytes()
 
 
 def test_batch_reports_the_first_nonfinite_point():

@@ -611,6 +611,72 @@ def test_simulate_matches_public_law_replay_through_divergence():
     assert_same_log(errors[0].log, errors[1].log)
 
 
+class CountingSaturation(DifferentiableModel):
+    """y(k+1) = 0.5 u(k)^2 + u(k), never below -0.5, counting the points it evaluates.
+
+    Under a target of -1 the quartic law's iterate never settles, so every
+    step takes QUARTIC_MAX_PASSES passes and caps out.
+    """
+
+    def __init__(self):
+        self.points = 0
+
+    @property
+    def dims(self):
+        return Dimensions.preferred(My=1, Mu=1, ny=-1, nu=0)
+
+    def evaluate(self, args):
+        self.points += 1
+        (u,) = args
+        return 0.5 * u ** 2 + u
+
+
+def assert_same_decision(got, want):
+    for name in ("delta_u", "u", "output_blocks", "input_blocks"):
+        assert np.array(getattr(got, name)).tobytes() == np.array(getattr(want, name)).tobytes(), name
+    assert (got.cost, got.iterations, got.converged) == (want.cost, want.iterations, want.converged)
+
+
+def test_quartic_cap_out_returns_the_lowest_cost_pass():
+    plant = CountingSaturation()
+    window = RegressorWindow(dims=plant.dims, k=1, y_history=[np.zeros(1)], u_history=[np.zeros(1)])
+    y_now, target, w = np.zeros(1), np.array([-1.0]), Weighting.uniform(0.1, 1)
+    got = mfac_quartic_step(plant, window, y_now, target, w)
+    assert (got.iterations, got.converged) == (QUARTIC_MAX_PASSES, False)
+    assert_same_decision(got, unhoisted_quartic(plant, window, y_now, target, w))
+    # Every pass of the iteration, from the public laws.
+    point = RegressorWindow(dims=plant.dims, k=0, y_history=[], u_history=window.u_history)
+    delta_u = mfac_step(pjm_first_order(plant, point), window, y_now, target, w).delta_u
+    passes = []
+    for _ in range(QUARTIC_MAX_PASSES):
+        passes.append(mfac_step(pjm_second_order(plant, point, [], [delta_u]), window, y_now, target, w))
+        delta_u = passes[-1].delta_u
+    costs = [p.cost for p in passes]
+    best = costs.index(min(costs))
+    assert best < QUARTIC_MAX_PASSES - 1  # the last pass is not the one returned
+    assert got.cost == costs[best] and got.delta_u.tobytes() == passes[best].delta_u.tobytes()
+
+
+def test_simulate_matches_replay_when_every_quartic_step_caps_out():
+    plant = CountingSaturation()
+    init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.zeros(1)], u_history=[np.zeros(1)])
+    got, want = both_runs(plant, "quartic", StepReference(1, -1.0), 30, init, Weighting.uniform(0.1, 1))
+    assert_same_log(got, want)
+    assert (got.iterations[:-1] == QUARTIC_MAX_PASSES).all() and not got.converged[:-1].any()
+
+
+def test_quartic_evaluates_the_same_points_per_step_whatever_the_passes():
+    per_step = []
+    for target in (-1.0, 0.3):  # caps out at 50 passes; settles in a few
+        plant = CountingSaturation()
+        init = RegressorWindow(dims=plant.dims, k=1, y_history=[np.zeros(1)], u_history=[np.zeros(1)])
+        log = simulate(plant, "quartic", StepReference(1, target), 30, init, Weighting.uniform(0.1, 1))
+        per_step.append((plant.points, int(log.iterations.max())))
+    # 29 controlled steps: 2 first-order stencil points, 3 Hessian stencil points and the plant step each.
+    assert per_step[0] == (29 * 6, QUARTIC_MAX_PASSES)
+    assert per_step[1][0] == 29 * 6 and per_step[1][1] < QUARTIC_MAX_PASSES
+
+
 class UnsampledReference(ReferenceSignal):
     def sample(self, k):
         raise AssertionError(f"reference sampled at step {k} before the arguments were checked")
@@ -668,6 +734,116 @@ def test_lti_evaluate_batch_matches_rowwise_evaluate_bitwise(seed):
         for args in (views, [v.copy() for v in views]):
             rows = np.array([plant.evaluate([a[b] for a in args]) for b in range(B)])
             assert np.array_equal(plant.evaluate_batch(args), rows)
+
+
+def numpy_scalar_bench(args):
+    """Example1Plant's map evaluated on np.float64 scalars, the way numpy rounds it point by point."""
+    y, u, v = args
+    y1 = -0.1 * y[0] ** 3 + 0.2 * y[1] ** 2 + u[0] + u[1] ** 2 + v[0] ** 3 + 2.0 * v[0] ** 4
+    y2 = -0.1 * y[0] ** 2 + 0.2 * y[1] ** 3 + u[0] ** 2 + 0.8 * u[1] + v[0] ** 3 + v[1] ** 3
+    return np.array([y1, y2])
+
+
+class ScalarBench(Example1Plant):
+    """The bench plant on np.float64 scalars, batches through the default loop over evaluate."""
+
+    evaluate_batch = DifferentiableModel.evaluate_batch
+
+    def evaluate(self, args):
+        return numpy_scalar_bench(args)
+
+
+class RecordingBench(Example1Plant):
+    """The bench plant keeping a copy of every batch it evaluates."""
+
+    def __init__(self):
+        self.batches = []
+
+    def evaluate_batch(self, args):
+        self.batches.append([a.copy() for a in args])
+        return super().evaluate_batch(args)
+
+
+def bench_batches(seed):
+    """Random points with signed zeros, then with NaNs too, and the stencil batches of both orders at some of them.
+
+    A batch with a NaN output goes through the np.float64 path as a whole, so the NaN-free batch covers the
+    Python-float path on the same points.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(300, 6)) * rng.choice([1e-3, 1.0, 40.0], size=(300, 1))
+    points[::7, 0] = -0.0
+    points[::11, 3] = 0.0
+    points[::13, 4] = -0.0
+    points[::17, 2] = np.nan
+    points[1] = -0.0
+    points[2] = 0.0
+    for batch in (points[~np.isnan(points).any(axis=1)], points):
+        yield [batch[:, 0:2], batch[:, 2:4], batch[:, 4:6]]
+    recorder = RecordingBench()
+    dims = recorder.dims
+    for p in points[:20]:
+        if np.isnan(p).any():
+            continue
+        op = RegressorWindow(dims=dims, k=2, y_history=[p[0:2]], u_history=[p[2:4], p[4:6]])
+        pjm_second_order(recorder, op, [0.1 * p[0:2]], [0.1 * p[2:4], 0.1 * p[4:6]])
+    assert {len(b[0]) for b in recorder.batches} == {12, 25}
+    yield from recorder.batches
+
+
+def test_bench_plant_batch_carries_the_bits_of_numpy_scalars():
+    plant = Example1Plant()
+    for args in bench_batches(seed=4):
+        count = args[0].shape[0]
+        rows = [[a[b] for a in args] for b in range(count)]
+        want = np.array([numpy_scalar_bench(r) for r in rows])
+        assert plant.evaluate_batch(args).tobytes() == want.tobytes()
+        assert np.array([plant.evaluate(r) for r in rows]).tobytes() == want.tobytes()
+
+
+# (slot, index, value, component): y1 = 1e200 spoils both outputs and v2 = 1e200 only y2, both through a power
+# that overflows (Python's float ** raises OverflowError); v1 = 1e77 spoils y1 through 2.0 * 1e308, where
+# Python's float * overflows silently.  numpy gives inf each time, with a RuntimeWarning.
+OVERFLOWS = [(0, 0, 1e200, 0), (2, 1, 1e200, 1), (2, 0, 1e77, 0)]
+
+
+def nonfinite_error(call):
+    """The component of the NonFiniteModelError a call raises, and the RuntimeWarnings it emits on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteModelError) as err:
+            call()
+    return err.value.component, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("slot, index, value, component", OVERFLOWS)
+def test_bench_plant_overflow_gives_the_nonfinite_error_of_numpy_scalars(slot, index, value, component):
+    point = [np.array([0.1, -0.2]), np.array([0.3, 0.05]), np.array([-0.1, 0.2])]
+    point[slot][index] = value
+    batch = [np.repeat(a[None], 12, axis=0) for a in point]
+    batch[slot][:5, index] = 0.3  # rows 0-4 stay finite; row 5 is the first that overflows
+    plant, scalar = Example1Plant(), ScalarBench()
+    for run in (lambda model: model._checked_eval(point), lambda model: model._checked_batch(batch)):
+        got = nonfinite_error(lambda: run(plant))
+        assert got == nonfinite_error(lambda: run(scalar))
+        assert got[0] == component and got[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert plant.evaluate_batch(batch).tobytes() == scalar.evaluate_batch(batch).tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("slot, index, value, component", OVERFLOWS)
+def test_simulate_on_the_bench_plant_flags_an_overflowing_stencil_row(variant, slot, index, value, component):
+    # The first controlled step, k = 3, linearizes at y(2), u(2), u(1): slot 0 is y_history[1], slot 2 u_history[1].
+    y_history = [np.zeros(2), np.zeros(2), np.zeros(2)]
+    u_history = [np.zeros(2), np.zeros(2)]
+    {0: y_history, 2: u_history}[slot][1][index] = value
+    init = RegressorWindow(dims=Example1Plant().dims, k=3, y_history=y_history, u_history=u_history)
+    box = BoxConstraints(lower=-np.ones(2), upper=np.ones(2)) if variant == "constrained" else None
+    runs = [nonfinite_error(lambda: simulate(model, variant, Example1Reference(), 10, init, Weighting.uniform(0.2, 2),
+                                             box=box)) for model in (Example1Plant(), ScalarBench())]
+    assert runs[0] == runs[1] and runs[0][0] == component
 
 
 class NaNAtOnePoint(DifferentiableModel):
