@@ -78,6 +78,12 @@ LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(20))
 EXAMPLE1_BOX = ((-0.3, -0.5), (0.1, 0.5))
 EXAMPLE2_HOME = (-math.pi / 2, 0.0, 0.0, 0.0, -math.pi / 2, 0.0)
 EXAMPLE2_GOAL = (math.pi / 2, 0.0, 0.0, 0.0, math.pi / 2, 0.0)
+# The quintic timing laws divide by tf**5, which overflows a double (OverflowError)
+# past about 1.2e61 and underflows (ZeroDivisionError, NaN arc lengths) below about 1e-61.
+EXAMPLE2_TF_RANGE = (1.0e-60, 1.0e60)
+# example2 keeps every path sample and its CSV row in memory, so the sample
+# count ceil(tf / t0) + 1 is capped at a hundred times the default 10 001.
+EXAMPLE2_MAX_SAMPLES = 1_000_000
 
 # Named LTI test loops for sweep/stability: (output blocks, input blocks).
 TEST_LOOPS = {
@@ -210,6 +216,10 @@ def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
     t0 = _parse_float(merged.get("t0", "0.001"), "t0")
     if tf <= 0 or t0 <= 0 or t0 > tf:
         raise ConfigError(f"need 0 < t0 <= tf, got t0={t0}, tf={tf}")
+    if not EXAMPLE2_TF_RANGE[0] <= tf <= EXAMPLE2_TF_RANGE[1]:
+        raise ConfigError(f"need {EXAMPLE2_TF_RANGE[0]:g} <= tf <= {EXAMPLE2_TF_RANGE[1]:g}, got tf={tf}")
+    if tf / t0 > EXAMPLE2_MAX_SAMPLES - 1:
+        raise ConfigError(f"tf / t0 = {tf / t0:g} gives more than {EXAMPLE2_MAX_SAMPLES} path samples")
     start_fraction = _parse_float(merged.get("start_fraction", "0.0"), "start_fraction")
     goal_fraction = _parse_float(merged.get("goal_fraction", "1.0"), "goal_fraction")
     if not 0.0 <= start_fraction < goal_fraction <= 1.0:

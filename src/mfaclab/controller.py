@@ -23,8 +23,6 @@ from .edlm import (
     _check_finite,
     _curvature_corrected,
     _first_order_blocks,
-    _operating_args,
-    _padded_blocks,
     _slot_hessians,
 )
 from .errors import InfeasibleBoxError, RankDeficiencyError, ShapeError
@@ -323,18 +321,18 @@ def _quartic_step(
     cap-out, for every pass).  A non-finite first-order block raises
     ValueError before the first solve.
     """
-    dims = model.dims
-    n_y = dims.ny + 1
+    Ly, Lu = model.dims.Ly, model.dims.Lu
     blocks = _first_order_blocks(model, args)
-    out_blocks, in_blocks = _padded_blocks(dims, blocks)
+    out_blocks, in_blocks = blocks[:Ly], blocks[Ly:]
     _check_finite(out_blocks, in_blocks)
     residual = _history_residual(out_blocks, in_blocks, ys, us, y_now, y_ref)
     delta_u = _lead_solve(in_blocks[0], residual, entries, penalty)
     hessians = _slot_hessians(model, args)
-    committed = [ys[i] - ys[i + 1] for i in range(n_y)]
-    lagged = [us[j] - us[j + 1] if j + 1 < len(us) else np.zeros(dims.Mu) for j in range(dims.nu)]
+    committed = [ys[i] - ys[i + 1] for i in range(Ly)]
+    lagged = [us[j] - us[j + 1] for j in range(Lu - 1)]
     # Corrected at the first iterate; later passes redo only the lead input block, in_blocks[0].
-    out_blocks, in_blocks = _padded_blocks(dims, _curvature_corrected(blocks, hessians, committed + [delta_u] + lagged))
+    corrected = _curvature_corrected(blocks, hessians, committed + [delta_u] + lagged)
+    out_blocks, in_blocks = corrected[:Ly], corrected[Ly:]
     residual = _history_residual(out_blocks, in_blocks, ys, us, y_now, y_ref)
     phi_u = in_blocks[0]
 
@@ -347,7 +345,7 @@ def _quartic_step(
             converged = True
             break
         delta_u = step_du
-        phi_u = _curvature_corrected(blocks[n_y:n_y + 1], hessians[n_y:n_y + 1], [delta_u])[0]
+        phi_u = _curvature_corrected(blocks[Ly:Ly + 1], hessians[Ly:Ly + 1], [delta_u])[0]
     # The settled pass; on a cap-out the first of the lowest cost (min keeps the first, as a strict < scan does).
     step_du, phi_u = tried[-1] if converged else min(tried, key=lambda t: _cost(t[1], entries, residual, t[0]))
     return ControlDecision(delta_u=step_du, u=us[0] + step_du, cost=_cost(phi_u, entries, residual, step_du),
@@ -372,13 +370,10 @@ def mfac_quartic_step(
     the best-cost iterate is returned flagged non-converged.  A non-finite
     entry in the returned blocks raises ValueError.
     """
-    dims = window.dims
-    if len(window.y_history) < dims.Ly + 1:
-        raise ShapeError(f"window needs {dims.Ly + 1} output samples, has {len(window.y_history)}")
-    point = RegressorWindow(dims=dims, k=window.k - 1, y_history=window.y_history[1:], u_history=window.u_history)
-    args = _operating_args(model, point)
     md = model.dims
     y_now, y_ref = _check_controller_args((md.My, md.Mu, md.Ly, md.Lu), window, y_now, y_ref, w)
+    # Linearization point at step k-1.
+    args = list(window.y_history[1:1 + md.Ly]) + list(window.u_history[:md.Lu])
     step = _quartic_step(model, args, window.y_history, window.u_history, y_now, y_ref, w.entries, w.matrix)
     _check_finite(step.output_blocks, step.input_blocks)
     return step

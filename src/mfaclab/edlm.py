@@ -1,8 +1,8 @@
 """Incremental (equivalent dynamic) linearization of multivariable discrete plants.
 
-The plant family is y(k+1) = f(y(k), ..., y(k-ny), u(k), ..., u(k-nu)).  Over a
-window of Ly output increments and Lu input increments the one-step output
-increment satisfies
+The plant family is y(k+1) = f(y(k), ..., y(k-Ly+1), u(k), ..., u(k-Lu+1)).
+Over that window of Ly output increments and Lu input increments the one-step
+output increment satisfies
 
     dy(k+1) = Phi_L(k)^T dH(k)
 
@@ -35,18 +35,18 @@ HESSIAN_STEP = 1.0e-4
 class Dimensions:
     """Signal sizes and window lengths of the incremental model.
 
-    My/Mu are the output/input vector sizes, Ly/Lu the pseudo-order window
-    lengths.  ny and nu are the true plant memory orders when known (ny = -1
-    declares a static map with no output feedback; nu = 0 means only u(k)
-    enters).
+    My/Mu are the output/input vector sizes.  Ly/Lu are the window lengths:
+    a model's argument slots are y(k), ..., y(k-Ly+1) and u(k), ..., u(k-Lu+1),
+    and the pseudo-Jacobian has one block per slot.  Ly = 0 declares a static
+    map with no output feedback; Lu = 1 means only u(k) enters.  A longer
+    window than the plant needs is a model that declares the extra slots and
+    ignores them; their blocks come out zero.
     """
 
     My: int
     Mu: int
     Ly: int
     Lu: int
-    ny: int | None = None
-    nu: int | None = None
 
     def __post_init__(self):
         if self.My < 1 or self.Mu < 1:
@@ -55,15 +55,6 @@ class Dimensions:
             raise ValueError(f"output window length must be >= 0, got Ly={self.Ly}")
         if self.Lu < 1:
             raise ValueError(f"input window length must be >= 1, got Lu={self.Lu}")
-        if self.ny is not None and self.ny < -1:
-            raise ValueError(f"output order ny must be >= -1, got {self.ny}")
-        if self.nu is not None and self.nu < 0:
-            raise ValueError(f"input order nu must be >= 0, got {self.nu}")
-
-    @classmethod
-    def preferred(cls, My: int, Mu: int, ny: int, nu: int) -> "Dimensions":
-        """Window lengths matched to the true orders: Ly = ny+1, Lu = nu+1."""
-        return cls(My=My, Mu=Mu, Ly=ny + 1, Lu=nu + 1, ny=ny, nu=nu)
 
     @property
     def width(self) -> int:
@@ -89,7 +80,7 @@ class RegressorWindow:
     y_history[0] is y(k) for step index k; u_history[0] is the newest input
     held by the window.  A window used to build a full increment vector dH(k)
     carries at least Ly+1 outputs and Lu+1 inputs; a window passed as a
-    linearization point carries at least ny+1 outputs and nu+1 inputs.  The
+    linearization point carries at least Ly outputs and Lu inputs.  The
     operations validate the depth they actually need.
     """
 
@@ -187,9 +178,9 @@ def pjm_csv_header(dims: Dimensions) -> list[str]:
 
 
 class DifferentiableModel(ABC):
-    """A plant map y(k+1) = f(y(k),...,y(k-ny), u(k),...,u(k-nu)).
+    """A plant map y(k+1) = f(y(k),...,y(k-Ly+1), u(k),...,u(k-Lu+1)), with Ly and Lu from dims.
 
-    evaluate takes the argument slots in that order (ny = -1 drops the output
+    evaluate takes the argument slots in that order (Ly = 0 drops the output
     slots entirely) and returns the next output vector.
 
     evaluate_batch takes the same slots with a leading batch axis, each of
@@ -246,28 +237,15 @@ def predict_delta_output(pjm: PseudoJacobian, delta_regressor: np.ndarray) -> np
     return flat @ dh
 
 
-def _check_orders(dims: Dimensions) -> None:
-    if dims.ny is None or dims.nu is None:
-        raise ValueError("model orders ny, nu must be declared for pseudo-Jacobian computation")
-    if dims.Ly < dims.ny + 1 or dims.Lu < dims.nu + 1:
-        raise ValueError(
-            f"window lengths Ly={dims.Ly}, Lu={dims.Lu} must cover the true orders "
-            f"ny={dims.ny}, nu={dims.nu} (residual terms are not modelled)"
-        )
-
-
 def _operating_args(model: DifferentiableModel, point: RegressorWindow) -> list[np.ndarray]:
     dims = model.dims
-    _check_orders(dims)
     if point.dims.My != dims.My or point.dims.Mu != dims.Mu:
         raise ShapeError("operating point signal sizes do not match the model")
-    n_y = dims.ny + 1
-    n_u = dims.nu + 1
-    if len(point.y_history) < n_y:
-        raise ShapeError(f"operating point needs {n_y} output samples, has {len(point.y_history)}")
-    if len(point.u_history) < n_u:
-        raise ShapeError(f"operating point needs {n_u} input samples, has {len(point.u_history)}")
-    return list(point.y_history[:n_y]) + list(point.u_history[:n_u])
+    if len(point.y_history) < dims.Ly:
+        raise ShapeError(f"operating point needs {dims.Ly} output samples, has {len(point.y_history)}")
+    if len(point.u_history) < dims.Lu:
+        raise ShapeError(f"operating point needs {dims.Lu} input samples, has {len(point.u_history)}")
+    return list(point.y_history[:dims.Ly]) + list(point.u_history[:dims.Lu])
 
 
 @functools.cache  # one entry per slot-width tuple; a program uses a handful
@@ -389,29 +367,17 @@ def _curvature_corrected(
     return [b + 0.5 * np.einsum("j,rjc->rc", d, H) for b, H, d in zip(blocks, hessians, deltas)]
 
 
-def _padded_blocks(dims: Dimensions, slot_blocks: Sequence[np.ndarray]) -> tuple[list, list]:
-    """Output and input block lists of the window layout; blocks beyond the true orders are zero.
-
-    Stacked slot blocks (leading batch axes) get stacked zero blocks.
-    """
-    n_y = dims.ny + 1
-    lead = slot_blocks[-1].shape[:-2]
-    out_blocks = list(slot_blocks[:n_y]) + [np.zeros(lead + (dims.My, dims.My)) for _ in range(dims.Ly - n_y)]
-    in_blocks = list(slot_blocks[n_y:]) + [np.zeros(lead + (dims.My, dims.Mu)) for _ in range(dims.Lu - dims.nu - 1)]
-    return out_blocks, in_blocks
-
-
 def pjm_first_order(model: DifferentiableModel, operating_point: RegressorWindow) -> PseudoJacobian:
     """Derivative-block pseudo-Jacobian at the given linearization point.
 
-    Block i (i = 1..ny+1) is df/dy(k-i)^T and block Ly+j (j = 1..nu+1) is
+    Block i (i = 1..Ly) is df/dy(k-i)^T and block Ly+j (j = 1..Lu) is
     df/du(k-j)^T, both evaluated at the newest entries of the window (the
-    caller supplies the step-(k-1) history).  Blocks beyond the true orders
-    are zero.
+    caller supplies the step-(k-1) history).  The block of a slot the model
+    ignores is zero.
     """
-    args = _operating_args(model, operating_point)
-    out_blocks, in_blocks = _padded_blocks(model.dims, _first_order_blocks(model, args))
-    return PseudoJacobian(output_blocks=tuple(out_blocks), input_blocks=tuple(in_blocks))
+    blocks = _first_order_blocks(model, _operating_args(model, operating_point))
+    Ly = model.dims.Ly
+    return PseudoJacobian(output_blocks=tuple(blocks[:Ly]), input_blocks=tuple(blocks[Ly:]))
 
 
 def pjm_second_order(
@@ -429,14 +395,11 @@ def pjm_second_order(
     """
     dims = model.dims
     args = _operating_args(model, operating_point)
-    n_y = dims.ny + 1
-    n_u = dims.nu + 1
-    if len(delta_ys) < n_y:
-        raise ShapeError(f"need {n_y} output increments, got {len(delta_ys)}")
-    if len(delta_us) < n_u:
-        raise ShapeError(f"need {n_u} input increments, got {len(delta_us)}")
-    deltas = _as_vectors(delta_ys, dims.My, "delta_ys")[:n_y] + _as_vectors(delta_us, dims.Mu, "delta_us")[:n_u]
+    if len(delta_ys) < dims.Ly:
+        raise ShapeError(f"need {dims.Ly} output increments, got {len(delta_ys)}")
+    if len(delta_us) < dims.Lu:
+        raise ShapeError(f"need {dims.Lu} input increments, got {len(delta_us)}")
+    deltas = _as_vectors(delta_ys, dims.My, "delta_ys")[:dims.Ly] + _as_vectors(delta_us, dims.Mu, "delta_us")[:dims.Lu]
     blocks = _first_order_blocks(model, args)
     corrected = _curvature_corrected(blocks, _slot_hessians(model, args), deltas)
-    out_blocks, in_blocks = _padded_blocks(dims, corrected)
-    return PseudoJacobian(output_blocks=tuple(out_blocks), input_blocks=tuple(in_blocks))
+    return PseudoJacobian(output_blocks=tuple(corrected[:dims.Ly]), input_blocks=tuple(corrected[dims.Ly:]))

@@ -216,9 +216,6 @@ class CartesianPath:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __iter__(self):
-        return iter(zip(self.times, self.samples))
-
 
 def generate_path(spec: PathSpec) -> CartesianPath:
     """Sample the straight-line/geodesic path with quintic timing on both arcs.

@@ -25,9 +25,7 @@ from .edlm import (
     PseudoJacobian,
     RegressorWindow,
     _check_finite,
-    _check_orders,
     _first_order_blocks,
-    _padded_blocks,
     _stacked_first_order_blocks,
     pjm_csv_header,
 )
@@ -46,7 +44,7 @@ class Example1Plant(DifferentiableModel):
     y2(k+1) = -0.1 y1(k)^2 + 0.2 y2(k)^3 + u1(k)^2 + 0.8 u2(k) + u1(k-1)^3 + u2(k-1)^3
     """
 
-    _DIMS = Dimensions.preferred(My=2, Mu=2, ny=0, nu=1)
+    _DIMS = Dimensions(My=2, Mu=2, Ly=1, Lu=2)
 
     @property
     def dims(self) -> Dimensions:
@@ -100,7 +98,7 @@ class LTIPlant(DifferentiableModel):
         for b in self._b:
             if b.shape != (My, Mu):
                 raise ShapeError(f"input block shape {b.shape}, expected ({My}, {Mu})")
-        self._dims = Dimensions.preferred(My=My, Mu=Mu, ny=len(self._a) - 1, nu=len(self._b) - 1)
+        self._dims = Dimensions(My=My, Mu=Mu, Ly=len(self._a), Lu=len(self._b))
 
     @property
     def dims(self) -> Dimensions:
@@ -113,11 +111,9 @@ class LTIPlant(DifferentiableModel):
         return out
 
     def evaluate_batch(self, args: Sequence[np.ndarray]) -> np.ndarray:
-        # A stacked matrix-vector product rounds like `m @ x` row by row;
-        # `X @ m.T` goes through a matrix-matrix kernel and does not.
         out = np.zeros((args[0].shape[0], self._b[0].shape[0]))
         for m, x in zip(self._a + self._b, args):
-            out += np.matmul(m, x[..., None])[..., 0]
+            out += _stacked_mv(m, x)
         return out
 
 
@@ -315,15 +311,14 @@ def _start(plant: DifferentiableModel, reference: ReferenceSignal, steps: int, i
     dims = plant.dims
     if init.dims.My != dims.My or init.dims.Mu != dims.Mu:
         raise ShapeError("init window signal sizes do not match the plant")
-    _check_orders(dims)
     for w in weightings:
         if w.size != dims.Mu:
             raise ShapeError(f"weighting has {w.size} entries, expected {dims.Mu}")
     k0 = init.k
     if not 1 <= k0 <= steps:
         raise ValueError(f"init window step {k0} must lie in [1, {steps}]")
-    y_hist = _padded(init.y_history, max(dims.Ly + 2, dims.ny + 3, k0 + 1), dims.My)
-    u_hist = _padded(init.u_history, max(dims.Lu + 1, dims.nu + 2, k0), dims.Mu)
+    y_hist = _padded(init.y_history, max(dims.Ly + 2, k0 + 1), dims.My)
+    u_hist = _padded(init.u_history, max(dims.Lu + 1, k0), dims.Mu)
     refs = [_reference_sample(reference, k, dims.My) for k in range(1, k0 + 1)]
     return k0, y_hist, u_hist, refs
 
@@ -374,8 +369,7 @@ def simulate(
     if controller_variant == "constrained":
         _check_box(box, dims.Mu)
     k0, y_hist, u_hist, refs = _start(plant, reference, steps, init, (w,))
-    n_y = dims.ny + 1
-    n_u = dims.nu + 1
+    Ly, Lu = dims.Ly, dims.Lu
     entries = w.entries
     penalty = w.matrix
 
@@ -400,24 +394,25 @@ def simulate(
         if k < steps:
             target = _reference_sample(reference, k + 1, dims.My)
             # Linearization point at step k-1.
-            args = y_hist[1:1 + n_y] + u_hist[:n_u]
+            args = y_hist[1:1 + Ly] + u_hist[:Lu]
             if controller_variant == "quartic":
                 # Checks its first-order blocks before its first solve; the corrected ones after.
                 step = _quartic_step(plant, args, y_hist, u_hist, y_now, target, entries, penalty)
                 _check_finite(step.output_blocks, step.input_blocks)
             else:
-                blocks = _padded_blocks(dims, _first_order_blocks(plant, args))
-                _check_finite(*blocks)
+                blocks = _first_order_blocks(plant, args)
+                out_blocks, in_blocks = blocks[:Ly], blocks[Ly:]
+                _check_finite(out_blocks, in_blocks)
                 if controller_variant == "constrained":
-                    step = _box_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty, box)
+                    step = _box_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty, box)
                 else:
-                    step = _solve_step(*blocks, y_hist, u_hist, y_now, target, entries, penalty)
+                    step = _solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty)
         else:  # the final row holds the last input and the last step's blocks
             step = step._replace(delta_u=np.zeros(dims.Mu), u=u_hist[0], cost=0.0, iterations=0, converged=True)
         records.append((ref_now, y_now, step.u, step.delta_u, step.cost, step.iterations, step.converged,
                         step.output_blocks, step.input_blocks))
         if k < steps:
-            y_next = plant._checked_eval(y_hist[:n_y] + [step.u] + u_hist[:dims.nu])
+            y_next = plant._checked_eval(y_hist[:Ly] + [step.u] + u_hist[:Lu - 1])
             y_hist = [y_next] + y_hist[:-1]
             u_hist = [step.u] + u_hist[:-1]
             ref_now = target
@@ -425,7 +420,11 @@ def simulate(
 
 
 def _stacked_mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row b is m[b] @ v[b], with the bits of the per-row product."""
+    """Row b is m[b] @ v[b] (m @ v[b] for one shared m), with the bits of the per-row product.
+
+    A stacked matrix-vector product rounds like `m @ x` row by row;
+    `X @ m.T` goes through a matrix-matrix kernel and does not.
+    """
     return np.matmul(m, v[..., None])[..., 0]
 
 
@@ -522,8 +521,7 @@ def simulate_batch(
     count = len(weightings)
     y_hist = [np.repeat(v[None], count, axis=0) for v in y_hist]
     u_hist = [np.repeat(v[None], count, axis=0) for v in u_hist]
-    n_y = dims.ny + 1
-    n_u = dims.nu + 1
+    Ly, Lu = dims.Ly, dims.Lu
     entries = np.array([w.entries for w in weightings])
     penalty = np.array([w.matrix for w in weightings])
 
@@ -571,8 +569,8 @@ def simulate_batch(
             break
         target = _reference_sample(reference, k + 1, dims.My)
         # Linearization point at step k-1.
-        args = y_hist[1:1 + n_y] + u_hist[:n_u]
-        out_blocks, in_blocks = _padded_blocks(dims, _stacked_first_order_blocks(plant, args))
+        blocks = _stacked_first_order_blocks(plant, y_hist[1:1 + Ly] + u_hist[:Lu])
+        out_blocks, in_blocks = blocks[:Ly], blocks[Ly:]
         _check_finite(out_blocks, in_blocks)
         delta_u, cost = _stacked_solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty)
         u = u_hist[0] + delta_u
@@ -583,7 +581,7 @@ def simulate_batch(
             out_log[rows, k - 1, i] = block
         for j, block in enumerate(in_blocks):
             in_log[rows, k - 1, j] = block
-        y_next = plant._checked_batch(y_hist[:n_y] + [u] + u_hist[:dims.nu])
+        y_next = plant._checked_batch(y_hist[:Ly] + [u] + u_hist[:Lu - 1])
         y_hist = [y_next] + y_hist[:-1]
         u_hist = [u] + u_hist[:-1]
         y_ref[k] = target

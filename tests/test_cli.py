@@ -139,6 +139,25 @@ def test_example1_steps_beyond_the_reference_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tf, t0", [(1e70, 1e67), (1e-70, 1e-72)])
+def test_example2_duration_outside_the_quintic_range_exits_3(tmp_path, capsys, tf, t0):
+    # 1 001 and 101 samples, but tf**5 overflows or underflows in the quintic timing law
+    out = tmp_path / "run"
+    conf = write_config(tmp_path, f"tf = {tf!r}\nt0 = {t0!r}\n")
+    assert main(["example2", "--config", conf, "--out", str(out)]) == 3
+    assert "<= tf <=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_example2_sample_count_past_the_cap_exits_3(tmp_path, capsys):
+    # about 1e301 samples: np.arange cannot size the array
+    out = tmp_path / "run"
+    conf = write_config(tmp_path, "tf = 10\nt0 = 1e-300\n")
+    assert main(["example2", "--config", conf, "--out", str(out)]) == 3
+    assert "path samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_maps_config_errors_to_exit_3(tmp_path, capsys):
     assert main(["example1", "--config", str(tmp_path / "missing.ini")]) == 3
     assert main(["sweep", "--lambda", "-1"]) == 3

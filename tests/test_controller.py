@@ -266,6 +266,26 @@ def test_quartic_zero_error_zero_increment():
     assert_allclose(dec.delta_u, np.zeros(2), atol=1e-12)
 
 
+def test_quartic_on_the_shortest_window_decides_as_on_a_deeper_one():
+    # Ly + 1 outputs and Lu inputs are all the law reads; older samples change no bit.
+    plant = Example1Plant()
+    dims = plant.dims
+    rng = np.random.default_rng(19)
+    w = Weighting(np.array([0.1, 0.3]))
+    for _ in range(5):
+        ys = rng.uniform(-0.3, 0.3, size=(dims.Ly + 3, 2))
+        us = rng.uniform(-0.3, 0.3, size=(dims.Lu + 2, 2))
+        y_ref = rng.uniform(-0.3, 0.3, size=2)
+        short = mfac_quartic_step(plant, window(dims, 5, ys[:dims.Ly + 1], us[:dims.Lu]), ys[0], y_ref, w)
+        deep = mfac_quartic_step(plant, window(dims, 5, ys, us), ys[0], y_ref, w)
+        for name, got, want in zip(short._fields, short, deep):
+            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes(), name
+    with pytest.raises(ShapeError):
+        mfac_quartic_step(plant, window(dims, 5, ys[:dims.Ly], us[:dims.Lu]), ys[0], y_ref, w)
+    with pytest.raises(ShapeError):
+        mfac_quartic_step(plant, window(dims, 5, ys[:dims.Ly + 1], us[:dims.Lu - 1]), ys[0], y_ref, w)
+
+
 def test_quartic_no_worse_than_first_order_on_true_plant():
     # The true-plant cost of the curvature-aware increment must not exceed
     # the first-order one.  Frozen values come from evaluating this very

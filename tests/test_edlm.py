@@ -48,10 +48,7 @@ def test_dimensions_validation():
         Dimensions(My=1, Mu=1, Ly=-1, Lu=1)
     with pytest.raises(ValueError):
         Dimensions(My=1, Mu=1, Ly=0, Lu=0)
-    with pytest.raises(ValueError):
-        Dimensions(My=1, Mu=1, Ly=0, Lu=1, ny=-2)
-    d = Dimensions.preferred(My=2, Mu=3, ny=1, nu=2)
-    assert (d.Ly, d.Lu) == (2, 3)
+    d = Dimensions(My=2, Mu=3, Ly=2, Lu=3)
     assert d.width == 2 * 2 + 3 * 3
 
 
@@ -175,7 +172,7 @@ def test_first_order_nonfinite_model_flags_component():
     class BadPlant(DifferentiableModel):
         @property
         def dims(self):
-            return Dimensions.preferred(My=2, Mu=1, ny=-1, nu=0)
+            return Dimensions(My=2, Mu=1, Ly=0, Lu=1)
 
         def evaluate(self, args):
             return np.array([float(args[0][0]), np.inf])
@@ -258,7 +255,7 @@ class CurvedPlant(DifferentiableModel):
     """y(k+1) = sum over slots of tanh(M_s x_s) + 0.1 (M_s x_s)^3: curvature, cross terms included, in every slot."""
 
     def __init__(self, My, Mu, ny, nu, rng):
-        self._dims = Dimensions.preferred(My=My, Mu=Mu, ny=ny, nu=nu)
+        self._dims = Dimensions(My=My, Mu=Mu, Ly=ny + 1, Lu=nu + 1)
         self._mats = [rng.normal(size=(My, w)) for w in [My] * (ny + 1) + [Mu] * (nu + 1)]
 
     @property
@@ -312,7 +309,7 @@ def test_batch_reports_the_first_nonfinite_point():
     class LateNaN(DifferentiableModel):
         @property
         def dims(self):
-            return Dimensions.preferred(My=3, Mu=2, ny=-1, nu=0)
+            return Dimensions(My=3, Mu=2, Ly=0, Lu=1)
 
         def evaluate(self, args):
             (u,) = args
@@ -333,7 +330,7 @@ def test_batch_shape_is_checked():
     class Wide(DifferentiableModel):
         @property
         def dims(self):
-            return Dimensions.preferred(My=1, Mu=1, ny=-1, nu=0)
+            return Dimensions(My=1, Mu=1, Ly=0, Lu=1)
 
         def evaluate(self, args):
             return np.zeros(2)

@@ -118,7 +118,7 @@ def test_reference_classes():
 def test_example1_plant_dims_and_hand_values():
     plant = Example1Plant()
     d = plant.dims
-    assert (d.My, d.Mu, d.ny, d.nu) == (2, 2, 0, 1)
+    assert (d.My, d.Mu, d.Ly, d.Lu) == (2, 2, 1, 2)
 
     zero = np.zeros(2)
     u = np.array([0.1, 0.2])
@@ -139,9 +139,8 @@ def test_lti_plant_validation():
 
 def test_lti_plant_dims():
     d = LTIPlant([np.eye(2)], [np.eye(2), np.eye(2)]).dims
-    assert (d.ny, d.nu) == (0, 1)
+    assert (d.Ly, d.Lu) == (1, 2)
     static = LTIPlant([], [np.array([[2.0]])]).dims
-    assert (static.ny, static.nu) == (-1, 0)
     assert (static.Ly, static.Lu) == (0, 1)
 
 
@@ -174,7 +173,7 @@ def test_simulate_rejects_bad_setup():
     with pytest.raises(ValueError):
         simulate(plant, "first_order", ZeroReference(1), 3, zero_window(plant.dims, k=5), w)
     mismatched = RegressorWindow(
-        dims=Dimensions.preferred(My=2, Mu=2, ny=0, nu=0),
+        dims=Dimensions(My=2, Mu=2, Ly=1, Lu=1),
         k=1,
         y_history=[np.zeros(2)],
         u_history=[np.zeros(2)],
@@ -337,7 +336,7 @@ def test_benchmark_constrained_respects_box():
 
 
 def manual_log(errors, us=None, box=None):
-    dims = Dimensions.preferred(My=1, Mu=1, ny=0, nu=0)
+    dims = Dimensions(My=1, Mu=1, Ly=1, Lu=1)
     n = len(errors)
     u = np.array(us if us is not None else [0.0] * n).reshape(n, 1)
     return SimLog(dims=dims, variant="first_order", weighting=Weighting.uniform(0.1, 1), box=box,
@@ -495,8 +494,8 @@ def replay(plant, variant, reference, steps, init, w, box=None, pjm_seed=None):
     """simulate rebuilt from the public per-step functions, windows and all."""
     dims = plant.dims
     k0 = init.k
-    depth_y = max(dims.Ly + 2, dims.ny + 3, k0 + 1)
-    depth_u = max(dims.Lu + 1, dims.nu + 2, k0)
+    depth_y = max(dims.Ly + 2, k0 + 1)
+    depth_u = max(dims.Lu + 1, k0)
     y_hist = [np.array(v, dtype=float) for v in init.y_history]
     y_hist += [np.zeros(dims.My)] * (depth_y - len(y_hist))
     u_hist = [np.array(v, dtype=float) for v in init.u_history]
@@ -539,7 +538,7 @@ def replay(plant, variant, reference, steps, init, w, box=None, pjm_seed=None):
         pjm = PseudoJacobian(tuple(decision.output_blocks), tuple(decision.input_blocks))
         records.append((reference.sample(k), y_now, decision.u, decision.delta_u, decision.cost, decision.iterations,
                         decision.converged, pjm))
-        args = y_hist[: dims.ny + 1] + [decision.u] + u_hist[: dims.nu]
+        args = y_hist[: dims.Ly] + [decision.u] + u_hist[: dims.Lu - 1]
         y_hist = [plant._checked_eval(args)] + y_hist[:-1]
         u_hist = [decision.u] + u_hist[:-1]
     return log()
@@ -611,6 +610,50 @@ def test_simulate_matches_public_law_replay_through_divergence():
     assert_same_log(errors[0].log, errors[1].log)
 
 
+class IgnoresOlderOutput(DifferentiableModel):
+    """An Ly = 1 plant behind a window one output slot longer: it declares y(k-1) and ignores it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        d = inner.dims
+        self._dims = Dimensions(My=d.My, Mu=d.Mu, Ly=2, Lu=d.Lu)
+
+    @property
+    def dims(self):
+        return self._dims
+
+    def evaluate(self, args):
+        return self.inner.evaluate([args[0], *args[2:]])
+
+    def evaluate_batch(self, args):
+        return self.inner.evaluate_batch([args[0], *args[2:]])
+
+
+def test_a_longer_window_is_a_longer_slot_list():
+    rng = np.random.default_rng(19)
+    plant = LTIPlant([0.3 * rng.normal(size=(2, 2))], [np.eye(2) + 0.3 * rng.normal(size=(2, 2)),
+                                                       0.3 * rng.normal(size=(2, 2))])
+    longer = IgnoresOlderOutput(plant)
+    zero = np.zeros((2, 2)).tobytes()
+    point = RegressorWindow(dims=longer.dims, k=2, y_history=list(rng.normal(size=(2, 2))),
+                            u_history=list(rng.normal(size=(2, 2))))
+    pjm, short = pjm_first_order(longer, point), pjm_first_order(plant, point)
+    assert pjm.output_blocks[1].tobytes() == zero
+    assert np.array_equal(pjm.output_blocks[0], short.output_blocks[0])
+    assert np.array(pjm.input_blocks).tobytes() == np.array(short.input_blocks).tobytes()
+
+    ys, us = list(rng.normal(size=(3, 2))), list(rng.normal(size=(2, 2)))
+    box = BoxConstraints(lower=-np.ones(2), upper=np.ones(2))
+    for variant in VARIANTS:
+        got, want = (simulate(p, variant, StepReference(2, 0.5), 40,
+                              RegressorWindow(dims=p.dims, k=3, y_history=ys, u_history=us),
+                              Weighting.uniform(0.2, 2), box=box if variant == "constrained" else None)
+                     for p in (longer, plant))
+        assert all(block.tobytes() == zero for block in got.output_blocks[:, 1]), variant
+        assert got.u.tobytes() == want.u.tobytes(), variant
+        assert got.y.tobytes() == want.y.tobytes(), variant
+
+
 class CountingSaturation(DifferentiableModel):
     """y(k+1) = 0.5 u(k)^2 + u(k), never below -0.5, counting the points it evaluates.
 
@@ -623,7 +666,7 @@ class CountingSaturation(DifferentiableModel):
 
     @property
     def dims(self):
-        return Dimensions.preferred(My=1, Mu=1, ny=-1, nu=0)
+        return Dimensions(My=1, Mu=1, Ly=0, Lu=1)
 
     def evaluate(self, args):
         self.points += 1
@@ -726,7 +769,7 @@ def test_lti_evaluate_batch_matches_rowwise_evaluate_bitwise(seed):
         ny = int(rng.integers(-1, 2))  # -1: static map with no output slots
         plant = LTIPlant([rng.normal(size=(My, My)) for _ in range(ny + 1)],
                          [rng.normal(size=(My, Mu)) for _ in range(int(rng.integers(1, 3)))])
-        sizes = [My] * (ny + 1) + [Mu] * (plant.dims.nu + 1)
+        sizes = [My] * (ny + 1) + [Mu] * plant.dims.Lu
         B = int(rng.integers(1, 13))
         stacked = rng.normal(size=(B, sum(sizes))) * 10.0 ** rng.uniform(-6, 3, size=(B, sum(sizes)))
         bounds = np.cumsum([0] + sizes)
@@ -854,7 +897,7 @@ class NaNAtOnePoint(DifferentiableModel):
 
     @property
     def dims(self):
-        return Dimensions.preferred(My=2, Mu=2, ny=0, nu=0)
+        return Dimensions(My=2, Mu=2, Ly=1, Lu=1)
 
     def evaluate(self, args):
         y, u = args
@@ -877,7 +920,7 @@ class SteepStaticMap(DifferentiableModel):
 
     @property
     def dims(self):
-        return Dimensions.preferred(My=1, Mu=1, ny=-1, nu=0)
+        return Dimensions(My=1, Mu=1, Ly=0, Lu=1)
 
     def evaluate(self, args):
         return np.array([1e308 * np.tanh(args[0][0] / 1e-12)])
@@ -1085,7 +1128,7 @@ def test_batch_rejects_nonfinite_pseudo_jacobian_before_solving(monkeypatch):
     with warnings.catch_warnings():  # only the central difference itself may overflow
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="input block 1"):
-            simulate_batch(SteepStaticMap(), reference, 50, zero_window(Dimensions.preferred(1, 1, -1, 0)),
+            simulate_batch(SteepStaticMap(), reference, 50, zero_window(Dimensions(1, 1, 0, 1)),
                            [Weighting.uniform(0.1, 1), Weighting.uniform(0.5, 1)])
     assert max(reference.sampled) == 2
 
