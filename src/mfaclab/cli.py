@@ -7,10 +7,11 @@ Subcommands
     sweep      lambda grid with analytic and simulated ramp errors on a test loop
     stability  analytic-only lambda grid (characteristic roots and ramp errors)
 
-Each run writes schema-versioned CSV files plus SVG line charts drawn from
-the same rows, under --out, the config's out key, $MFACLAB_OUT, or
-./mfaclab-runs, in that order of preference.  Reruns with the same settings
-are byte-identical.  Exit codes: 0 success, 2 divergence, 3 bad config.
+Each runner returns its exit status and its files, schema-versioned CSV tables
+plus SVG line charts drawn from the same rows; main alone writes them, in that
+order, under --out, the config's out key, $MFACLAB_OUT, or ./mfaclab-runs, in
+that order of preference.  Reruns with the same settings are byte-identical.
+Exit codes: 0 success, 2 divergence, 3 bad config or unwritable output.
 
 Config files use a single [experiment] INI section; keys mirror the command
 line (id, variant, lambda, steps, tf, t0, start_fraction, goal_fraction,
@@ -25,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .pathgen import (
 )
 from .plant import (
     EXAMPLE1_HORIZON,
+    SIMLOG_SCHEMA,
     VARIANTS,
     Example1Plant,
     Example1Reference,
@@ -247,15 +249,28 @@ def resolve_config(verb: str, args: argparse.Namespace) -> ExperimentConfig:
 # --- CSV and SVG emission ---------------------------------------------------
 
 
-def _write_csv(path: Path, schema: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with path.open("w", newline="") as fh:
-        write_csv(fh, schema, header, rows)
+class Table(NamedTuple):
+    """A CSV file of a run: written by plant.write_csv under its schema line."""
+
+    name: str
+    schema: str
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+
+    def columns(self) -> dict[str, list[float]]:
+        """Float columns of the table as written; every cell round-trips, so a
+        chart drawn from these matches one drawn from the file."""
+        return {name: [float(row[i]) for row in self.rows] for i, name in enumerate(self.header)}
 
 
-def _columns(header: Sequence[str], rows: Sequence[Sequence]) -> dict[str, list[float]]:
-    """Float columns of a table as written; every cell round-trips, so a chart
-    drawn from these matches one drawn from the file."""
-    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+class Chart(NamedTuple):
+    """An SVG line chart of a run; each series is (label, xs, ys)."""
+
+    name: str
+    title: str
+    x_label: str
+    y_label: str
+    series: Sequence[tuple[str, Sequence[float], Sequence[float]]]
 
 
 def _esc(text: str) -> str:
@@ -360,14 +375,10 @@ def _svg_chart(
     return "\n".join(parts) + "\n"
 
 
-def _write_chart(path: Path, title: str, x_label: str, y_label: str, series) -> None:
-    path.write_text(_svg_chart(title, x_label, y_label, series))
-
-
 # --- runners -----------------------------------------------------------------
 
 
-def run_example1(cfg: ExperimentConfig) -> int:
+def run_example1(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
     plant = Example1Plant()
     dims = plant.dims
     reference = Example1Reference()
@@ -382,11 +393,10 @@ def run_example1(cfg: ExperimentConfig) -> int:
     )
     variants = VARIANTS if cfg.variant == "all" else (cfg.variant,)
     cutoff = max(1, cfg.steps // 8)
-    cfg.out.mkdir(parents=True, exist_ok=True)
 
     status = 0
     summary_rows = []
-    tables: list[tuple[str, dict[str, list[float]]]] = []
+    files: list[Table | Chart] = []
     for variant in variants:
         diverged_at = 0
         try:
@@ -405,9 +415,7 @@ def run_example1(cfg: ExperimentConfig) -> int:
             diverged_at = exc.step
             status = 2
             print(f"example1 {variant}: diverged at step {exc.step}", file=sys.stderr)
-        with (cfg.out / f"example1_{variant}.csv").open("w", newline="") as fh:
-            rows = log.to_csv(fh)
-        tables.append((variant, _columns(log.csv_header(), rows)))
+        files.append(Table(f"example1_{variant}.csv", SIMLOG_SCHEMA, log.csv_header(), log.csv_rows()))
         if diverged_at:
             rmse = max_err = (math.nan, math.nan)
         else:
@@ -418,34 +426,34 @@ def run_example1(cfg: ExperimentConfig) -> int:
              log.violations(), diverged_at]
         )
 
-    _write_csv(
-        cfg.out / "example1_summary.csv",
+    variant_cols = [table.columns() for table in files]  # the variants' logs, in run order
+    files.append(Table(
+        "example1_summary.csv",
         SUMMARY_SCHEMA,
         ["variant", "steps", "lambda", "seed", "rmse1", "rmse2",
          "max_err1", "max_err2", "violations", "diverged_at"],
         summary_rows,
-    )
+    ))
 
-    first_cols = tables[0][1]
+    first_cols = variant_cols[0]
     out_series = [
         ("yref1", first_cols["k"], first_cols["yref1"]),
         ("yref2", first_cols["k"], first_cols["yref2"]),
     ]
     in_series = []
-    for variant, cols in tables:
+    for variant, cols in zip(variants, variant_cols):
         out_series.append((f"y1 {variant}", cols["k"], cols["y1"]))
         out_series.append((f"y2 {variant}", cols["k"], cols["y2"]))
         in_series.append((f"u1 {variant}", cols["k"], cols["u1"]))
         in_series.append((f"u2 {variant}", cols["k"], cols["u2"]))
     pjm_names = ("Phi1[0,0]", "Phi1[1,1]", "Phi2[0,0]", "Phi2[1,1]", "Phi3[0,0]", "Phi3[1,1]")
     pjm_series = [(name, first_cols["k"], first_cols[name]) for name in pjm_names]
-    _write_chart(cfg.out / "example1_outputs.svg",
-                 "Bench outputs vs reference", "k", "y", out_series)
-    _write_chart(cfg.out / "example1_inputs.svg",
-                 "Bench inputs", "k", "u", in_series)
-    _write_chart(cfg.out / "example1_pjm.svg",
-                 f"Linearization diagonal entries ({tables[0][0]})", "k", "value", pjm_series)
-    return status
+    files += [
+        Chart("example1_outputs.svg", "Bench outputs vs reference", "k", "y", out_series),
+        Chart("example1_inputs.svg", "Bench inputs", "k", "u", in_series),
+        Chart("example1_pjm.svg", f"Linearization diagonal entries ({variants[0]})", "k", "value", pjm_series),
+    ]
+    return status, files
 
 
 def _blend_task(a: TaskVector, b: TaskVector, fraction: float) -> TaskVector:
@@ -459,7 +467,7 @@ def _blend_task(a: TaskVector, b: TaskVector, fraction: float) -> TaskVector:
     )
 
 
-def run_example2(cfg: ExperimentConfig) -> int:
+def run_example2(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
     chain = default_arm()
     q = np.array(EXAMPLE2_HOME)
     frame_a = pose_to_task(forward_kinematics(chain, q))
@@ -480,9 +488,6 @@ def run_example2(cfg: ExperimentConfig) -> int:
         + ["cond", "lambda", "iters", "converged"]
     )
     rows = []
-    max_pos = max_ori = max_cond = 0.0
-    max_iters = 0
-    cap_hits = 0
     for t, target in zip(path.times, path.samples):
         result = ik_solve(chain, q, task_to_pose(target))
         q = result.q
@@ -495,51 +500,40 @@ def run_example2(cfg: ExperimentConfig) -> int:
              *q, *jac.flatten(),
              result.max_condition, lam_used, result.iterations, int(result.converged)]
         )
-        max_pos = max(max_pos, result.position_error)
-        max_ori = max(max_ori, result.orientation_error)
-        max_cond = max(max_cond, result.max_condition)
-        max_iters = max(max_iters, result.iterations)
-        cap_hits += not result.converged
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out / "example2_tracking.csv", TRACK_SCHEMA, header, rows)
-    _write_csv(
-        cfg.out / "example2_summary.csv",
-        SUMMARY_SCHEMA,
-        ["samples", "tf", "t0", "seed", "start_fraction", "goal_fraction",
-         "max_pos_err", "max_ori_err", "max_iterations", "max_condition",
-         "all_converged", "cap_hits"],
-        [[len(rows), cfg.tf, cfg.t0, cfg.seed, cfg.start_fraction, cfg.goal_fraction,
-          max_pos, max_ori, max_iters, max_cond, int(cap_hits == 0), cap_hits]],
-    )
-
-    cols = _columns(header, rows)
+    track = Table("example2_tracking.csv", TRACK_SCHEMA, header, rows)
+    cols = track.columns()
     ts = cols["t"]
-    _write_chart(
-        cfg.out / "example2_pose.svg", "Tool position vs reference", "t (s)", "mm",
-        [("x", ts, cols["x"]), ("y", ts, cols["y"]), ("z", ts, cols["z"]),
-         ("xref", ts, cols["xref"]), ("yref", ts, cols["yref"]), ("zref", ts, cols["zref"])],
-    )
-    _write_chart(
-        cfg.out / "example2_errors.svg", "Tracking errors", "t (s)", "error",
-        [("position (mm)", ts, cols["pos_err"]), ("orientation (rad)", ts, cols["ori_err"])],
-    )
-    _write_chart(
-        cfg.out / "example2_joints.svg", "Joint angles", "t (s)", "rad",
-        [(f"q{i + 1}", ts, cols[f"q{i + 1}"]) for i in range(chain.joint_count)],
-    )
+    # Maxima from zero in row order: a tie keeps the earlier value, and a NaN is skipped.
+    max_pos, max_ori, max_iters, max_cond = (
+        max([0.0, *cols[name]]) for name in ("pos_err", "ori_err", "iters", "cond"))
+    cap_hits = cols["converged"].count(0)
     log_cond = [math.log10(c) if math.isfinite(c) and c > 0 else math.nan
                 for c in cols["cond"]]
-    _write_chart(
-        cfg.out / "example2_condition.svg", "Jacobian conditioning", "t (s)", "log10 cond",
-        [("log10 cond", ts, log_cond)],
-    )
-    _write_chart(
-        cfg.out / "example2_solver.svg", "Solver effort", "t (s)", "count / scaled weight",
-        [("iterations", ts, cols["iters"]),
-         ("100 x lambda", ts, [100.0 * v for v in cols["lambda"]])],
-    )
-    return 0
+    return 0, [
+        track,
+        Table(
+            "example2_summary.csv",
+            SUMMARY_SCHEMA,
+            ["samples", "tf", "t0", "seed", "start_fraction", "goal_fraction",
+             "max_pos_err", "max_ori_err", "max_iterations", "max_condition",
+             "all_converged", "cap_hits"],
+            [[len(rows), cfg.tf, cfg.t0, cfg.seed, cfg.start_fraction, cfg.goal_fraction,
+              max_pos, max_ori, int(max_iters), max_cond, int(cap_hits == 0), cap_hits]],
+        ),
+        Chart("example2_pose.svg", "Tool position vs reference", "t (s)", "mm",
+              [("x", ts, cols["x"]), ("y", ts, cols["y"]), ("z", ts, cols["z"]),
+               ("xref", ts, cols["xref"]), ("yref", ts, cols["yref"]), ("zref", ts, cols["zref"])]),
+        Chart("example2_errors.svg", "Tracking errors", "t (s)", "error",
+              [("position (mm)", ts, cols["pos_err"]), ("orientation (rad)", ts, cols["ori_err"])]),
+        Chart("example2_joints.svg", "Joint angles", "t (s)", "rad",
+              [(f"q{i + 1}", ts, cols[f"q{i + 1}"]) for i in range(chain.joint_count)]),
+        Chart("example2_condition.svg", "Jacobian conditioning", "t (s)", "log10 cond",
+              [("log10 cond", ts, log_cond)]),
+        Chart("example2_solver.svg", "Solver effort", "t (s)", "count / scaled weight",
+              [("iterations", ts, cols["iters"]),
+               ("100 x lambda", ts, [100.0 * v for v in cols["lambda"]])]),
+    ]
 
 
 def _test_loop(name: str) -> tuple[LTIPlant, PseudoJacobian]:
@@ -568,7 +562,7 @@ def _analytic_grid(
         yield lam, w, report.stable, max_root, ess
 
 
-def run_lambda_sweep(cfg: ExperimentConfig) -> int:
+def run_lambda_sweep(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
     plant, pjm = _test_loop(cfg.variant)
     size = pjm.My
     reference = RampReference(size, Ts=1.0)
@@ -587,38 +581,30 @@ def run_lambda_sweep(cfg: ExperimentConfig) -> int:
             simulated = log.y_ref[-1] - log.y[-1]
         rows.append([lam, int(stable), max_root, *simulated, *analytic])
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
     header = (
         ["lambda", "stable", "max_root"]
         + [f"ess_sim{i + 1}" for i in range(size)]
         + [f"ess_analytic{i + 1}" for i in range(size)]
     )
-    _write_csv(cfg.out / f"sweep_{cfg.variant}.csv", SWEEP_SCHEMA, header, rows)
-
-    cols = _columns(header, rows)
+    table = Table(f"sweep_{cfg.variant}.csv", SWEEP_SCHEMA, header, rows)
+    cols = table.columns()
     series = []
     for i in range(size):
         series.append((f"simulated {i + 1}", cols["lambda"], cols[f"ess_sim{i + 1}"]))
         series.append((f"analytic {i + 1}", cols["lambda"], cols[f"ess_analytic{i + 1}"]))
-    _write_chart(
-        cfg.out / f"sweep_{cfg.variant}.svg",
-        f"Ramp steady-state error vs lambda ({cfg.variant})",
-        "lambda", "error", series,
-    )
-    return 0
+    title = f"Ramp steady-state error vs lambda ({cfg.variant})"
+    return 0, [table, Chart(f"sweep_{cfg.variant}.svg", title, "lambda", "error", series)]
 
 
-def run_stability(cfg: ExperimentConfig) -> int:
+def run_stability(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
     _, pjm = _test_loop(cfg.variant)
     size = pjm.My
     rows = [[lam, max_root, int(stable), *ess]
             for lam, _, stable, max_root, ess in _analytic_grid(cfg, pjm)]
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
     header = ["lambda", "max_root", "stable"] + [f"ess{i + 1}" for i in range(size)]
-    _write_csv(cfg.out / f"stability_{cfg.variant}.csv", STABILITY_SCHEMA, header, rows)
-
-    cols = _columns(header, rows)
+    table = Table(f"stability_{cfg.variant}.csv", STABILITY_SCHEMA, header, rows)
+    cols = table.columns()
     grid = cols["lambda"]
     series = [
         ("max_root", grid, cols["max_root"]),
@@ -626,12 +612,8 @@ def run_stability(cfg: ExperimentConfig) -> int:
     ]
     for i in range(size):
         series.append((f"ramp ess {i + 1}", grid, cols[f"ess{i + 1}"]))
-    _write_chart(
-        cfg.out / f"stability_{cfg.variant}.svg",
-        f"Characteristic root radius vs lambda ({cfg.variant})",
-        "lambda", "radius / error", series,
-    )
-    return 0
+    title = f"Characteristic root radius vs lambda ({cfg.variant})"
+    return 0, [table, Chart(f"stability_{cfg.variant}.svg", title, "lambda", "radius / error", series)]
 
 
 # --- entry point --------------------------------------------------------------
@@ -642,7 +624,7 @@ class _Subcommand:
     experiment: str  # the config file's id
     help: str
     keys: frozenset[str]  # config keys it accepts
-    run: Callable[[ExperimentConfig], int]
+    run: Callable[[ExperimentConfig], tuple[int, list[Table | Chart]]]
 
 
 _COMMON_KEYS = frozenset({"id", "out", "seed"})
@@ -693,13 +675,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args.verb, args)
-        return _SUBCOMMANDS[args.verb].run(cfg)
+        status, files = _SUBCOMMANDS[args.verb].run(cfg)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+            for file in files:
+                if isinstance(file, Table):
+                    with (cfg.out / file.name).open("w", newline="") as fh:
+                        write_csv(fh, file.schema, file.header, file.rows)
+                else:
+                    (cfg.out / file.name).write_text(
+                        _svg_chart(file.title, file.x_label, file.y_label, file.series))
+        except OSError as exc:
+            raise ConfigError(f"cannot write to {cfg.out}: {exc}") from None
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except DivergenceError as exc:
-        print(f"diverged at step {exc.step}", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:

@@ -229,12 +229,6 @@ class SimLog:
         return [[k, *v, iters, *b]
                 for k, v, iters, b in zip(range(1, n + 1), signals, self.iterations.tolist(), blocks)]
 
-    def to_csv(self, fh: TextIO) -> list[list]:
-        """Write the log as CSV and return the rows written, in csv_header order."""
-        rows = self.csv_rows()
-        write_csv(fh, SIMLOG_SCHEMA, self.csv_header(), rows)
-        return rows
-
     def violations(self) -> int:
         """Records whose input lies outside the box; 0 when there is no box."""
         if self.box is None:

@@ -20,6 +20,10 @@ from mfaclab.cli import (
     build_parser,
     main,
     resolve_config,
+    run_example1,
+    run_example2,
+    run_lambda_sweep,
+    run_stability,
 )
 from mfaclab.errors import ConfigError
 
@@ -165,6 +169,49 @@ def test_main_maps_config_errors_to_exit_3(tmp_path, capsys):
     assert main([]) == 3
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+# One short run per subcommand: its runner, argv, config body, and the files
+# it returns, in the order main writes them.
+SHORT_RUNS = {
+    "example1": (run_example1, ["example1", "--steps", "10"], "", [
+        "example1_first_order.csv", "example1_quartic.csv", "example1_constrained.csv",
+        "example1_summary.csv", "example1_outputs.svg", "example1_inputs.svg", "example1_pjm.svg",
+    ]),
+    "example2": (run_example2, ["example2"], "tf = 0.2\nt0 = 0.02\n", [
+        "example2_tracking.csv", "example2_summary.csv", "example2_pose.svg", "example2_errors.svg",
+        "example2_joints.svg", "example2_condition.svg", "example2_solver.svg",
+    ]),
+    "sweep": (run_lambda_sweep, ["sweep", "--steps", "10", "--lambda", "0.3"], "",
+              ["sweep_scalar.csv", "sweep_scalar.svg"]),
+    "stability": (run_stability, ["stability", "--lambda", "0.3"], "",
+                  ["stability_scalar.csv", "stability_scalar.svg"]),
+}
+
+
+def short_run_argv(tmp_path, verb, out):
+    _, argv, body, _ = SHORT_RUNS[verb]
+    conf = ["--config", write_config(tmp_path, body)] if body else []
+    return [*argv, *conf, "--out", str(out)]
+
+
+@pytest.mark.parametrize("verb", list(SHORT_RUNS))
+def test_unwritable_output_exits_3(tmp_path, capsys, verb):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = blocker / "run"  # a directory under a regular file cannot be made
+    assert main(short_run_argv(tmp_path, verb, out)) == 3
+    assert f"config error: cannot write to {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", list(SHORT_RUNS))
+def test_runners_return_their_files_and_write_nothing(tmp_path, verb):
+    runner, _, _, names = SHORT_RUNS[verb]
+    out = tmp_path / "run"
+    status, files = runner(resolve(short_run_argv(tmp_path, verb, out)))
+    assert status == 0
+    assert [file.name for file in files] == names
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- example1

@@ -49,6 +49,7 @@ from mfaclab.plant import (
     metrics,
     simulate,
     simulate_batch,
+    write_csv,
 )
 
 
@@ -380,11 +381,16 @@ def test_metrics_counts_violations_over_all_rows():
 # -------------------------------------------------------------------- csv
 
 
+def csv_bytes(log):
+    """The log's CSV file as the command line writes it."""
+    buf = io.StringIO()
+    write_csv(buf, SIMLOG_SCHEMA, log.csv_header(), log.csv_rows())
+    return buf.getvalue()
+
+
 def test_csv_layout_and_round_trip():
     log = example1_run("first_order", steps=12)
-    buf = io.StringIO()
-    log.to_csv(buf)
-    text = buf.getvalue()
+    text = csv_bytes(log)
     lines = text.splitlines()
     assert lines[0] == f"# schema: {SIMLOG_SCHEMA}"
 
@@ -409,16 +415,13 @@ def test_csv_layout_and_round_trip():
 
 
 def test_csv_rerun_is_byte_identical():
-    first, second = io.StringIO(), io.StringIO()
-    example1_run("first_order", steps=25).to_csv(first)
-    example1_run("first_order", steps=25).to_csv(second)
-    assert first.getvalue() == second.getvalue()
+    first = csv_bytes(example1_run("first_order", steps=25))
+    second = csv_bytes(example1_run("first_order", steps=25))
+    assert first == second
 
 
 def assert_cells_round_trip(log):
-    buf = io.StringIO()
-    log.to_csv(buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue().split("\n", 1)[1])))
+    rows = list(csv.reader(io.StringIO(csv_bytes(log).split("\n", 1)[1])))
     header, data = rows[0], rows[1:]
     assert header == log.csv_header()
     expected = log.csv_rows()
@@ -447,9 +450,7 @@ def test_csv_cells_round_trip_on_divergent_partial_log():
 
 def test_metrics_match_csv_recomputation():
     log = example1_run("first_order", steps=60)
-    buf = io.StringIO()
-    log.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = csv_bytes(log).splitlines()
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     idx = {name: i for i, name in enumerate(rows[0])}
     cutoff = 20
@@ -555,10 +556,7 @@ def assert_same_arrays(got, want):
 
 def assert_same_log(got, want):
     assert_same_arrays(got, want)
-    first, second = io.StringIO(), io.StringIO()
-    got.to_csv(first)
-    want.to_csv(second)
-    assert first.getvalue() == second.getvalue()
+    assert csv_bytes(got) == csv_bytes(want)
 
 
 def both_runs(*args, **kwargs):
@@ -976,12 +974,6 @@ def test_simulate_builds_no_pseudo_jacobian_per_step(variant, monkeypatch):
 
 
 # ----------------------------------------------------- batched simulation
-
-
-def csv_bytes(log):
-    buf = io.StringIO()
-    log.to_csv(buf)
-    return buf.getvalue()
 
 
 def simulate_or_divergence(plant, reference, steps, init, w):
