@@ -39,7 +39,6 @@ from .kinematics import (
     default_arm,
     forward_kinematics,
     ik_solve,
-    pose_and_jacobian,
     pose_to_task,
     task_to_pose,
 )
@@ -490,9 +489,8 @@ def run_example2(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
     rows = []
     for t, target in zip(path.times, path.samples):
         result = ik_solve(chain, q, task_to_pose(target))
-        q = result.q
-        pose, jac = pose_and_jacobian(chain, q)
-        actual = pose_to_task(pose)
+        q, jac = result.q, result.jacobian
+        actual = pose_to_task(result.pose)
         lam_used = max(result.lambda_trace) if result.lambda_trace else 0.0
         rows.append(
             [t, *actual.as_array(), *target.as_array(),

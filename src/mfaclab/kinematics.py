@@ -27,6 +27,8 @@ DEFAULT_ITERATION_CAP = 30
 GIMBAL_TOL = 1.0e-9
 AXIS_FLIP_TOL = 1.0e-6
 ZERO_ANGLE_TOL = 1.0e-8
+_EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -58,26 +60,40 @@ class DHRow:
 class KinematicChain:
     """Ordered DH rows; revolute rows consume one joint angle each.
 
-    The transforms of the fixed rows are formed once, here; a revolute row
-    has None in their place.
+    What a chain pass needs is formed once, here: `links` stacks every row's
+    transform, final for a fixed row and with the constant entries of a
+    revolute row filled in; `joint_frames` holds, per joint, the index of the
+    frame its row ends in; `joint_links` holds (theta_offset, cos alpha,
+    sin alpha) per joint; and `link_slots` holds the flat indices of `links`
+    that the joint angles fill, six per joint.
     """
 
     rows: tuple[DHRow, ...]
-    fixed_transforms: tuple[np.ndarray | None, ...] = field(init=False, repr=False, compare=False)
+    joint_count: int = field(init=False, repr=False, compare=False)
+    links: np.ndarray = field(init=False, repr=False, compare=False)
+    joint_frames: np.ndarray = field(init=False, repr=False, compare=False)
+    joint_links: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
+    link_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.joint_count == 0:
+        rows = tuple(self.rows)
+        joints = [ri for ri, row in enumerate(rows) if row.revolute]
+        if not joints:
             raise ValueError("chain has no revolute rows")
-        fixed = tuple(None if row.revolute else row.transform() for row in self.rows)
-        for T in fixed:
-            if T is not None:
-                T.setflags(write=False)
-        object.__setattr__(self, "fixed_transforms", fixed)
-
-    @property
-    def joint_count(self) -> int:
-        return sum(1 for r in self.rows if r.revolute)
+        links = np.array([row.transform() for row in rows])
+        # entries (0,0) (0,1) (1,0) (1,1) (2,0) (2,1) of each revolute link
+        slots = np.array([16 * ri + k for ri in joints for k in (0, 1, 4, 5, 8, 9)])
+        frames = np.array(joints) + 1
+        for a in (links, slots, frames):
+            a.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "joint_count", len(joints))
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "joint_frames", frames)
+        object.__setattr__(self, "joint_links", tuple(
+            (rows[ri].theta_offset, math.cos(rows[ri].alpha_prev), math.sin(rows[ri].alpha_prev))
+            for ri in joints))
+        object.__setattr__(self, "link_slots", slots)
 
 
 @dataclass(frozen=True)
@@ -139,20 +155,28 @@ class IKResult:
     lambda_trace: tuple[float, ...]
     position_error: float
     orientation_error: float
+    pose: Pose  # tool pose at q
+    jacobian: np.ndarray  # geometric Jacobian at q
 
 
-def _chain_frames(chain: KinematicChain, q: np.ndarray) -> list[np.ndarray]:
-    """One chain pass: frames[0] = I and frames[i + 1] = frames[i] @ (link i)."""
+def _chain_frames(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
+    """One chain pass: frames[0] = I and frames[i + 1] = frames[i] @ (link i).
+
+    Each revolute link is the row's DHRow.transform, entry for entry.
+    """
     if q.shape != (chain.joint_count,):
         raise ShapeError(f"expected {chain.joint_count} joint angles, got shape {q.shape}")
-    frames = [np.eye(4)]
-    idx = 0
-    for row, fixed in zip(chain.rows, chain.fixed_transforms):
-        if fixed is None:
-            frames.append(frames[-1] @ row.transform(q[idx]))
-            idx += 1
-        else:
-            frames.append(frames[-1] @ fixed)
+    entries = []
+    for qi, (offset, ca, sa) in zip(q.tolist(), chain.joint_links):
+        theta = qi + offset
+        ct, st = math.cos(theta), math.sin(theta)
+        entries += (ct, -st, st * ca, ct * ca, st * sa, ct * sa)
+    links = chain.links.copy()
+    links.put(chain.link_slots, entries)
+    frames = np.empty((len(links) + 1, 4, 4))
+    frames[0] = _EYE4
+    for prev, link, out in zip(frames, links, frames[1:]):
+        np.matmul(prev, link, out=out)
     return frames
 
 
@@ -179,7 +203,13 @@ def _require_rotation(R: np.ndarray, tol: float = 1.0e-8) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ShapeError(f"rotation must be 3x3, got {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol or np.linalg.det(R) < 0.0:
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
+        raise InvalidRotationError("matrix has non-finite entries")
+    # Once R^T R is within tol of I, the determinant is near +-1, so the sign
+    # of this triple product is that of np.linalg.det(R).
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if np.abs(R.T @ R - _EYE3).max() > tol or det < 0.0:
         raise InvalidRotationError("matrix is not a proper rotation")
     return R
 
@@ -225,27 +255,28 @@ def task_to_pose(task: TaskVector) -> Pose:
     return Pose(rotation=rotation_from_euler(*task.angles), position=task.position)
 
 
-def _angle_axis(D: np.ndarray) -> np.ndarray:
+def _angle_axis(D: np.ndarray) -> list[float]:
     """Axis-times-angle 3-vector of the rotation D (already validated).
 
     Reads the angle from the trace of D and the axis from the skew part.
     Near a half-turn the skew part degenerates, so the axis is recovered from
     the dominant column of D + I instead.
     """
-    c = (np.trace(D) - 1.0) / 2.0
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = D.tolist()
+    c = ((d00 + d11) + d22 - 1.0) / 2.0  # the trace summed in np.trace's order
     c = min(1.0, max(-1.0, c))
     theta = math.acos(c)
     if theta < ZERO_ANGLE_TOL:
-        return np.zeros(3)
+        return [0.0, 0.0, 0.0]
     if abs(theta - math.pi) < AXIS_FLIP_TOL:
         # D ~ 2 k k^T - I: any nonzero column of D + I is parallel to the axis.
-        M = D + np.eye(3)
+        M = D + _EYE3
         col = int(np.argmax(np.diag(M)))
         axis = M[:, col]
         axis = axis / np.linalg.norm(axis)
-        return axis * theta
-    axis = np.array([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
-    return axis * (theta / (2.0 * math.sin(theta)))
+        return (axis * theta).tolist()
+    s = theta / (2.0 * math.sin(theta))
+    return [(d21 - d12) * s, (d02 - d20) * s, (d10 - d01) * s]
 
 
 def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -254,32 +285,31 @@ def angle_axis_error(desired: np.ndarray, current: np.ndarray) -> np.ndarray:
     Both arguments must be proper rotations; the vector is that of
     D = desired @ current^T.
     """
-    return _angle_axis(_require_rotation(desired) @ _require_rotation(current).T)
+    return np.array(_angle_axis(_require_rotation(desired) @ _require_rotation(current).T))
 
 
-def _task_error(tool: np.ndarray, rotation: np.ndarray, position: np.ndarray) -> np.ndarray:
+def _task_error(tool: np.ndarray, rotation: np.ndarray, position: list[float]) -> np.ndarray:
     """[position error; orientation error] from the tool transform to a validated target."""
     current = _require_rotation(tool[:3, :3])
-    return np.concatenate([position - tool[:3, 3], _angle_axis(rotation @ current.T)])
+    x, y, z = position
+    tx, ty, tz = tool[:3, 3].tolist()
+    return np.array([x - tx, y - ty, z - tz, *_angle_axis(rotation @ current.T)])
 
 
-def _jacobian(chain: KinematicChain, frames: list[np.ndarray]) -> np.ndarray:
+def _jacobian(chain: KinematicChain, frames: np.ndarray) -> np.ndarray:
     """Geometric Jacobian from one chain pass: column j is [z_j x (p_e - p_j); z_j].
 
-    z_j and p_j are the z axis and origin of the frame that revolute row ri
-    ends in (frames[ri + 1]), since that row turns about its own z axis.
+    z_j and p_j are the z axis and origin of the frame that joint j's row ends
+    in (chain.joint_frames), since that row turns about its own z axis.
     """
-    joints = np.array([frames[ri + 1] for ri, row in enumerate(chain.rows) if row.revolute])
-    z = joints[:, :3, 2]
-    r = frames[-1][:3, 3] - joints[:, :3, 3]
-    J = np.empty((6, len(joints)))
-    # the cross products of all columns at once; np.cross costs more than the
-    # arithmetic at this size
-    J[0] = z[:, 1] * r[:, 2] - z[:, 2] * r[:, 1]
-    J[1] = z[:, 2] * r[:, 0] - z[:, 0] * r[:, 2]
-    J[2] = z[:, 0] * r[:, 1] - z[:, 1] * r[:, 0]
-    J[3:] = z.T
-    return J
+    ex, ey, ez = frames[-1, :3, 3].tolist()
+    columns = []
+    for (zx, px), (zy, py), (zz, pz) in frames[chain.joint_frames, :3, 2:].tolist():
+        rx, ry, rz = ex - px, ey - py, ez - pz
+        columns.append((zy * rz - zz * ry, zz * rx - zx * rz, zx * ry - zy * rx, zx, zy, zz))
+    # Built row by row, so J is C-contiguous: J.T @ J on the transpose of a
+    # column-built array takes another BLAS path, and its bits differ.
+    return np.array(list(zip(*columns)))
 
 
 def pose_and_jacobian(chain: KinematicChain, q: Sequence[float]) -> tuple[Pose, np.ndarray]:
@@ -303,7 +333,7 @@ def _damping(cond: float) -> float:
     cond < 5000 -> 0; 5000 <= cond < 20000 -> 0.05; cond >= 20000 or
     non-finite -> 0.1.  Boundary values take the larger damping.
     """
-    if not np.isfinite(cond) or cond >= 20000.0:
+    if not math.isfinite(cond) or cond >= 20000.0:
         return 0.1
     if cond >= 5000.0:
         return 0.05
@@ -315,7 +345,7 @@ def _damped_step(J: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, float
     cond = condition_number(J)
     lam = _damping(cond)
     delta_q = np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), J.T @ e)
-    if not np.all(np.isfinite(delta_q)):
+    if not all(map(math.isfinite, delta_q.tolist())):
         raise ArithmeticError("inverse-kinematics solve produced non-finite increments")
     return delta_q, cond, lam
 
@@ -325,13 +355,15 @@ def ik_solve(chain: KinematicChain, q_seed: Sequence[float], target: Pose) -> IK
 
     Each iteration makes one chain pass; the convergence check, the task error
     and the closed-form Jacobian of the step all come from it, so a solve makes
-    iterations + 1 passes.  The target rotation is validated once.
+    iterations + 1 passes.  The result's pose and Jacobian come from the last
+    pass, which is at the returned q.  The target rotation is validated once.
     Convergence is checked before each step, so a seed already at the target
     reports zero iterations.  Hitting DEFAULT_ITERATION_CAP returns the last
     iterate flagged non-converged rather than raising.
     """
     q = np.asarray(q_seed, dtype=float).copy()
     rotation = _require_rotation(target.rotation)
+    position = target.position.tolist()
     lam_trace: list[float] = []
     worst = 0.0
     iterations = 0
@@ -340,9 +372,11 @@ def ik_solve(chain: KinematicChain, q_seed: Sequence[float], target: Pose) -> IK
     ori_err = math.inf
     for _ in range(DEFAULT_ITERATION_CAP + 1):
         frames = _chain_frames(chain, q)
-        e = _task_error(frames[-1], rotation, target.position)
-        pos_err = float(np.linalg.norm(e[:3]))
-        ori_err = float(np.linalg.norm(e[3:]))
+        e = _task_error(frames[-1], rotation, position)
+        # what np.linalg.norm computes for a 1-D float vector
+        ep, eo = e[:3], e[3:]
+        pos_err = math.sqrt(ep.dot(ep))
+        ori_err = math.sqrt(eo.dot(eo))
         if pos_err < POSITION_TOL and ori_err < ORIENTATION_TOL:
             converged = True
             break
@@ -361,6 +395,8 @@ def ik_solve(chain: KinematicChain, q_seed: Sequence[float], target: Pose) -> IK
         lambda_trace=tuple(lam_trace),
         position_error=pos_err,
         orientation_error=ori_err,
+        pose=Pose.from_homogeneous(frames[-1]),
+        jacobian=_jacobian(chain, frames),
     )
 
 

@@ -167,10 +167,24 @@ def quat_to_euler(q: UnitQuaternion) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _relative_arc(q0: UnitQuaternion, qf: UnitQuaternion) -> tuple[np.ndarray, float]:
+    """Vector part of q0^-1 qf and its half-angle (rad, in [0, pi/2])."""
+    rel = q0.conjugate().multiply(qf)
+    return rel.vector, math.acos(min(1.0, max(-1.0, rel.scalar)))
+
+
+def _arc_point(q0: UnitQuaternion, rel_vector: np.ndarray, half: float, tau: float) -> UnitQuaternion:
+    """q0 * (q0^-1 qf)^tau from _relative_arc(q0, qf)."""
+    if half < GEODESIC_TOL:
+        return q0
+    axis = rel_vector * (math.sin(tau * half) / math.sin(half))
+    powered = UnitQuaternion(axis[0], axis[1], axis[2], math.cos(tau * half))
+    return q0.multiply(powered)
+
+
 def orientation_arc_length(q0: UnitQuaternion, qf: UnitQuaternion) -> float:
     """Rotation angle (rad, in [0, pi]) separating the two orientations."""
-    rel = q0.conjugate().multiply(qf)
-    return 2.0 * math.acos(min(1.0, max(-1.0, rel.scalar)))
+    return 2.0 * _relative_arc(q0, qf)[1]
 
 
 def quat_geodesic(q0: UnitQuaternion, qf: UnitQuaternion, tau: float) -> UnitQuaternion:
@@ -181,13 +195,7 @@ def quat_geodesic(q0: UnitQuaternion, qf: UnitQuaternion, tau: float) -> UnitQua
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {tau}")
-    rel = q0.conjugate().multiply(qf)
-    half = math.acos(min(1.0, max(-1.0, rel.scalar)))
-    if half < GEODESIC_TOL:
-        return q0
-    axis = rel.vector * (math.sin(tau * half) / math.sin(half))
-    powered = UnitQuaternion(axis[0], axis[1], axis[2], math.cos(tau * half))
-    return q0.multiply(powered)
+    return _arc_point(q0, *_relative_arc(q0, qf), tau)
 
 
 @dataclass(frozen=True)
@@ -230,7 +238,9 @@ def generate_path(spec: PathSpec) -> CartesianPath:
     chord = float(np.linalg.norm(pf - p0))
     q0 = euler_to_quat(*spec.start.angles)
     qf = euler_to_quat(*spec.goal.angles)
-    arc = orientation_arc_length(q0, qf)
+    # q0^-1 qf and its half-angle are the same for every sample
+    rel_vector, half = _relative_arc(q0, qf)
+    arc = 2.0 * half
     if chord == 0.0 and arc < GEODESIC_TOL:
         raise ValueError("start and goal coincide in both position and orientation")
     timing_p = quintic_solve(chord, tf=spec.tf)
@@ -245,7 +255,7 @@ def generate_path(spec: PathSpec) -> CartesianPath:
         if arc >= GEODESIC_TOL:
             s_ori, _, _ = quintic_eval(timing_o, t)
             tau = min(max(s_ori / arc, 0.0), 1.0)
-            qk = quat_geodesic(q0, qf, tau)
+            qk = _arc_point(q0, rel_vector, half, tau)
         else:
             qk = q0
         alpha, beta, gamma = quat_to_euler(qk)

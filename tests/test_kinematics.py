@@ -514,6 +514,78 @@ def test_ik_solve_rejects_improper_target():
         ik_solve(default_arm(), HOME, flipped)
 
 
+NON_FINITE_ROTATIONS = {
+    "nan": np.full((3, 3), np.nan),
+    "inf entry": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]]),
+    "nan entry": np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_ROTATIONS))
+def test_non_finite_rotations_are_rejected(name):
+    # a NaN never compares above the orthogonality tolerance, so the entries
+    # are checked first; RuntimeWarnings are errors under pytest, so none may
+    # come before the rejection
+    R = NON_FINITE_ROTATIONS[name]
+    with pytest.raises(InvalidRotationError):
+        euler_from_rotation(R)
+    with pytest.raises(InvalidRotationError):
+        angle_axis_error(R, np.eye(3))
+    with pytest.raises(InvalidRotationError):
+        angle_axis_error(np.eye(3), R)
+    with pytest.raises(InvalidRotationError):
+        ik_solve(default_arm(), HOME, Pose(rotation=R, position=np.zeros(3)))
+
+
+def test_ik_result_pose_and_jacobian_are_a_fresh_pass():
+    chain = default_arm()
+    seeds_and_targets = [
+        (HOME, forward_kinematics(chain, HOME)),  # zero iterations
+        (HOME, forward_kinematics(chain, HOME + 0.05)),  # converges
+        (FOLDED_SEED, task_to_pose(pose_to_task(forward_kinematics(chain, GOAL)))),  # caps
+    ]
+    outcomes = []
+    for seed, target in seeds_and_targets:
+        res = ik_solve(chain, seed, target)
+        outcomes.append((res.iterations, res.converged))
+        pose, J = pose_and_jacobian(chain, res.q)
+        assert res.pose.rotation.tobytes() == pose.rotation.tobytes()
+        assert res.pose.position.tobytes() == pose.position.tobytes()
+        assert res.jacobian.tobytes() == J.tobytes()
+        assert res.jacobian.shape == J.shape == (6, 6)
+        # J.T @ J must see the layout it always had
+        assert res.jacobian.flags.c_contiguous
+        assert kinematics._jacobian(chain, kinematics._chain_frames(chain, res.q)).flags.c_contiguous
+    assert outcomes[0] == (0, True)
+    assert outcomes[1][0] > 0 and outcomes[1][1]
+    assert outcomes[2] == (30, False)
+
+
+def test_chain_pass_links_are_dh_row_transforms():
+    # the per-pass link entries are filled from constants formed once per
+    # chain; each link must still be its row's transform, entry for entry
+    chain = parse_chain(
+        """
+        base   0     0  100  -
+        j1    30    10    5  q1
+        j2   -90    40    0  q2
+        tip   15     0   30  45
+        """
+    )
+    rows = [
+        DHRow(name="j3", alpha_prev=0.7, a_prev=3.0, d=-2.0, revolute=True, theta_offset=0.25),
+        *chain.rows,
+    ]
+    chain = KinematicChain(rows=tuple(rows))
+    q = np.array([0.4, -1.3, 2.9])
+    frames = kinematics._chain_frames(chain, q)
+    expected = [np.eye(4)]
+    angles = iter(q)
+    for row in chain.rows:
+        expected.append(expected[-1] @ (row.transform(next(angles)) if row.revolute else row.transform()))
+    assert frames.tobytes() == np.array(expected).tobytes()
+
+
 # ----------------------------------------------------------- table parsing
 
 

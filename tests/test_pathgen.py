@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from mfaclab.cli import EXAMPLE2_GOAL, EXAMPLE2_HOME, _blend_task
 from mfaclab.errors import DegenerateDirectionError, ShapeError
-from mfaclab.kinematics import TaskVector, angle_axis_error, rotation_from_euler
+from mfaclab.kinematics import (
+    TaskVector,
+    angle_axis_error,
+    default_arm,
+    forward_kinematics,
+    pose_to_task,
+    rotation_from_euler,
+)
 from mfaclab.pathgen import (
+    GEODESIC_TOL,
     CartesianPath,
     PathSpec,
     QuinticCoeffs,
@@ -295,3 +304,43 @@ def test_generate_path_pure_rotation():
         np.testing.assert_array_equal(sample.position, start.position)
     with pytest.raises(ValueError):
         generate_path(PathSpec(start=start, goal=start, tf=1.0, T0=0.25))
+
+
+def per_sample_angles(spec):
+    """generate_path's orientation samples with quat_geodesic(q0, qf, tau)
+    formed anew for every sample, endpoints included."""
+    q0 = euler_to_quat(*spec.start.angles)
+    qf = euler_to_quat(*spec.goal.angles)
+    arc = orientation_arc_length(q0, qf)
+    timing = quintic_solve(arc, tf=spec.tf)
+    times = np.minimum(np.arange(math.ceil(spec.tf / spec.T0) + 1) * spec.T0, spec.tf)
+    angles = []
+    for t in times:
+        tau = min(max(quintic_eval(timing, t)[0] / arc, 0.0), 1.0) if arc >= GEODESIC_TOL else 0.0
+        angles.append(quat_to_euler(quat_geodesic(q0, qf, tau)))
+    return angles
+
+
+def example2_frames():
+    chain = default_arm()
+    return tuple(pose_to_task(forward_kinematics(chain, np.array(q))) for q in (EXAMPLE2_HOME, EXAMPLE2_GOAL))
+
+
+@pytest.mark.parametrize("case", ["default traverse", "sub-path 0.4 to 0.6", "shared orientation"])
+def test_generate_path_matches_per_sample_geodesic(case):
+    home, goal = example2_frames()
+    if case == "sub-path 0.4 to 0.6":
+        home, goal = _blend_task(home, goal, 0.4), _blend_task(home, goal, 0.6)
+    elif case == "shared orientation":
+        goal = task(*goal.position, *home.angles)
+        half = orientation_arc_length(euler_to_quat(*home.angles), euler_to_quat(*goal.angles)) / 2.0
+        assert half < GEODESIC_TOL
+    spec = PathSpec(start=home, goal=goal, tf=10.0, T0=0.005)  # criterion 5's sampling
+    path = generate_path(spec)
+    expected = per_sample_angles(spec)
+    assert len(path) == len(expected) == 2001
+    # the endpoints are pinned to the spec's task vectors; every sample between
+    # them has the per-sample geodesic's bits
+    got = np.array([s.angles for s in path.samples[1:-1]])
+    assert got.tobytes() == np.array(expected[1:-1]).tobytes()
+    assert path.samples[0] is spec.start and path.samples[-1] is spec.goal
