@@ -16,6 +16,7 @@ when every pole lies strictly inside the unit circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .controller import Weighting
 from .edlm import PseudoJacobian
-from .errors import DegenerateLoopError, ShapeError, SingularMatrixError, UnstableLoopError
+from .errors import DegenerateLoopError, NonFiniteLoopError, ShapeError, SingularMatrixError, UnstableLoopError
 
 STABILITY_MARGIN = 1.0e-9
 # T_0 (and a shifted pencil) counts as singular at or above this condition number, T(1) above it.
@@ -32,7 +33,7 @@ SINGULAR_COND = 1.0e12
 PENCIL_SHIFTS = (0.5, -0.75, 1.25, -1.5, 2.5)
 # Pencil eigenvalues 1/(z - sigma) at or below this share of the largest are poles at infinity.
 INFINITE_POLE_TOL = 1.0e-10
-# Distinct characteristic matrices whose analysis is kept (least recently used goes first).
+# Loops whose T, and distinct T whose analysis, each cache keeps (least recently used goes first).
 ANALYSIS_CACHE_SIZE = 64
 
 
@@ -56,26 +57,45 @@ def closed_loop_matrix(pjm: PseudoJacobian, w: Weighting) -> np.ndarray:
     Returns a float array of shape (d+1, n, n) whose block i multiplies q^i.
     Trailing all-zero blocks are dropped, so d is the true degree of T.  Only
     square loops (Mu == My) are supported; the two terms of T cannot be added
-    otherwise.
+    otherwise.  Raises NonFiniteLoopError when an entry of T overflows.
+
+    T is built once per loop and kept read-only in a bounded cache keyed on
+    My, Ly and the weighting and block bytes; this returns a writable copy.
     """
+    return _characteristic(pjm, w).copy()
+
+
+def _characteristic(pjm: PseudoJacobian, w: Weighting) -> np.ndarray:
     if pjm.Mu != pjm.My:
-        raise ShapeError(
-            f"closed-loop analysis needs a square loop, got My={pjm.My}, Mu={pjm.Mu}"
-        )
+        raise ShapeError(f"closed-loop analysis needs a square loop, got My={pjm.My}, Mu={pjm.Mu}")
     if w.size != pjm.Mu:
         raise ShapeError(f"weighting has {w.size} entries, expected {pjm.Mu}")
-    n = pjm.My
-    T = np.zeros((max(pjm.Ly + 2, pjm.Lu), n, n))
-    # (1 - q) L Y(q) with Y(q) = I - Phi_1 q - ... - Phi_Ly q^Ly.
-    for k, Yk in enumerate([np.eye(n)] + [-b for b in pjm.output_blocks]):
-        LY = w.entries[:, None] * Yk
-        T[k] += LY
-        T[k + 1] -= LY
-    lead_t = pjm.lead_input_block.T
-    for j, b in enumerate(pjm.input_blocks):
-        T[j] += b @ lead_t
+    blocks = b"".join([b.tobytes() for b in pjm.output_blocks + pjm.input_blocks])
+    return _built(pjm.My, pjm.Ly, w.entries.tobytes(), blocks)
+
+
+@lru_cache(maxsize=ANALYSIS_CACHE_SIZE)
+def _built(n: int, Ly: int, weights: bytes, blocks: bytes) -> np.ndarray:
+    """Read-only T of the loop with these sizes and float64 weighting and blocks."""
+    Phi = np.frombuffer(blocks).reshape(-1, n, n)
+    T = np.zeros((max(Ly + 2, len(Phi) - Ly), n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (1 - q) L Y(q) with Y(q) = I - Phi_1 q - ... - Phi_Ly q^Ly.
+        LY = np.frombuffer(weights)[:, None] * np.concatenate([np.eye(n)[None], -Phi[:Ly]])
+        T[1 : Ly + 2] -= LY
+        T[: Ly + 1] += LY
+        T[: len(Phi) - Ly] += np.matmul(Phi[Ly:], Phi[Ly].T)
+    if not np.isfinite(T).all():
+        raise NonFiniteLoopError("characteristic matrix overflows: weighting or blocks too large")
+    T.setflags(write=False)
     nonzero = np.flatnonzero(T.any(axis=(1, 2)))
     return T[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def _cond(M: np.ndarray) -> float:
+    """Condition number of M from its singular values; 0/0 and NaN read as inf."""
+    s = np.linalg.svd(M, compute_uv=False).tolist()
+    return s[0] / s[-1] if s[-1] > 0.0 else math.inf
 
 
 def _poles(T: np.ndarray) -> np.ndarray:
@@ -88,7 +108,7 @@ def _poles(T: np.ndarray) -> np.ndarray:
     infinity, and the zero ones are dropped.
     """
     d, n = T.shape[0] - 1, T.shape[1]
-    singular = not np.linalg.cond(T[0]) < SINGULAR_COND
+    singular = not _cond(T[0]) < SINGULAR_COND
     if d == 0:
         if singular:
             raise DegenerateLoopError("closed-loop determinant vanishes identically")
@@ -100,7 +120,7 @@ def _poles(T: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(A)
     B = np.eye(d * n)
     B[:n, :n] = T[0]
-    conds = [np.linalg.cond(A - s * B) for s in PENCIL_SHIFTS]
+    conds = [_cond(A - s * B) for s in PENCIL_SHIFTS]
     best = int(np.argmin(conds))
     if not conds[best] < SINGULAR_COND:
         raise DegenerateLoopError("closed-loop determinant vanishes identically")
@@ -114,10 +134,9 @@ def _poles(T: np.ndarray) -> np.ndarray:
 def _analysed(shape: tuple[int, ...], data: bytes) -> tuple[StabilityReport, np.ndarray | None]:
     """Verdict of the characteristic blocks with this shape and float64 content.
 
-    For a stable loop the entry also holds T(1) = T_0 + ... + T_d, read-only;
-    it holds None instead for an unstable loop, or when the condition number
-    of T(1) is non-finite or above SINGULAR_COND.  Raising calls
-    (DegenerateLoopError) are not cached.
+    For a stable loop the entry also holds T(1) = T_0 + ... + T_d, read-only; it holds
+    None instead for an unstable loop, or when the condition number of T(1) is
+    non-finite or above SINGULAR_COND.  Raising calls (DegenerateLoopError) are not cached.
     """
     T = np.frombuffer(data).reshape(shape)
     roots = _poles(T)
@@ -133,16 +152,10 @@ def _analysed(shape: tuple[int, ...], data: bytes) -> tuple[StabilityReport, np.
     if not report.stable:
         return report, None
     T1 = T.sum(axis=0)
-    cond = np.linalg.cond(T1)
-    if not np.isfinite(cond) or cond > SINGULAR_COND:
+    if not _cond(T1) <= SINGULAR_COND:
         return report, None
     T1.setflags(write=False)
     return report, T1
-
-
-def _analysis(T: np.ndarray) -> tuple[StabilityReport, np.ndarray | None]:
-    T = np.ascontiguousarray(T, dtype=float)
-    return _analysed(T.shape, T.tobytes())
 
 
 def stability_check(T: np.ndarray) -> StabilityReport:
@@ -150,9 +163,10 @@ def stability_check(T: np.ndarray) -> StabilityReport:
 
     A pole is accepted as stable only below 1 - STABILITY_MARGIN, so marginal
     loops classify unstable.  Raises DegenerateLoopError when det T vanishes
-    identically.  The poles are solved once per distinct T: the report comes
-    from a bounded cache keyed on T's shape and float64 content, which the
-    static errors share.
+    identically.  Two bounded caches of ANALYSIS_CACHE_SIZE entries make one
+    T and one pole solve per loop: closed_loop_matrix's, keyed on the loop's
+    content, which the static errors read directly, and this one, keyed on
+    T's shape and float64 content, which holds the report and T(1).
 
     Limit: when T_0 is singular only up to rounding and a pole at infinity
     has a Jordan chain, the pencil solve can report spurious huge poles
@@ -160,15 +174,15 @@ def stability_check(T: np.ndarray) -> StabilityReport:
     such a T may read unstable.  T from closed_loop_matrix can meet this only
     with at least two zero weighting entries.
     """
-    return _analysis(T)[0]
+    T = np.ascontiguousarray(T, dtype=float)
+    return _analysed(T.shape, T.tobytes())[0]
 
 
 def _static_matrices(pjm: PseudoJacobian, w: Weighting) -> tuple[np.ndarray, np.ndarray]:
-    report, T1 = _analysis(closed_loop_matrix(pjm, w))
+    T = _characteristic(pjm, w)
+    report, T1 = _analysed(T.shape, T.tobytes())
     if not report.stable:
-        raise UnstableLoopError(
-            f"static error is undefined for an unstable loop (margin {report.margin:.3e})"
-        )
+        raise UnstableLoopError(f"static error is undefined for an unstable loop (margin {report.margin:.3e})")
     if T1 is None:
         raise SingularMatrixError("characteristic matrix is singular at z = 1")
     phi_y1 = sum(pjm.output_blocks, start=np.zeros((pjm.My, pjm.My)))
@@ -181,11 +195,10 @@ def ramp_static_error(pjm: PseudoJacobian, w: Weighting, Ts: float) -> np.ndarra
     Evaluates T(1)^-1 L (I - phi_y(1)) 1 * Ts.  The error scales linearly
     with the weighting; a zero weighting tracks the ramp exactly.
     """
-    if Ts <= 0.0:
+    if not 0.0 < Ts < math.inf:
         raise ValueError(f"sample time must be positive, got {Ts}")
     T1, phi_y1 = _static_matrices(pjm, w)
-    ones = np.ones(pjm.My)
-    rhs = w.matrix @ ((np.eye(pjm.My) - phi_y1) @ ones)
+    rhs = w.matrix @ ((np.eye(pjm.My) - phi_y1) @ np.ones(pjm.My))
     return np.linalg.solve(T1, rhs) * Ts
 
 

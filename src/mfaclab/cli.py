@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import closed_loop_matrix, ramp_static_error, stability_check
 from .controller import BoxConstraints, Weighting
 from .edlm import PseudoJacobian, RegressorWindow
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NonFiniteLoopError
 from .kinematics import (
     TaskVector,
     default_arm,
@@ -551,7 +551,10 @@ def _analytic_grid(
     verdict, its largest root radius, and its ramp error (NaN when unstable)."""
     for lam in LAMBDA_GRID if cfg.lam is None else (cfg.lam,):
         w = Weighting.uniform(lam, pjm.My)
-        report = stability_check(closed_loop_matrix(pjm, w))
+        try:
+            report = stability_check(closed_loop_matrix(pjm, w))
+        except NonFiniteLoopError as exc:
+            raise ConfigError(f"lambda {lam!r} is too large for the {cfg.variant} loop: {exc}") from None
         max_root = max((abs(r) for r in report.characteristic_roots), default=0.0)
         if report.stable:
             ess = ramp_static_error(pjm, w, Ts=1.0)

@@ -34,6 +34,10 @@ class DegenerateLoopError(ValueError):
     """Closed-loop determinant vanishes identically."""
 
 
+class NonFiniteLoopError(ValueError):
+    """The frozen loop's characteristic matrix overflows to inf or NaN."""
+
+
 class UnstableLoopError(ValueError):
     """Static-error formula requested on an unstable loop."""
 

@@ -1,6 +1,7 @@
 """Tests for the frozen-loop characteristic matrix, roots, and static errors."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from mfaclab.analysis import (
 )
 from mfaclab.controller import Weighting
 from mfaclab.edlm import PseudoJacobian, RegressorWindow
-from mfaclab.errors import DegenerateLoopError, ShapeError, SingularMatrixError, UnstableLoopError
+from mfaclab.errors import (
+    DegenerateLoopError,
+    NonFiniteLoopError,
+    ShapeError,
+    SingularMatrixError,
+    UnstableLoopError,
+)
 from mfaclab.plant import LTIPlant, StepReference, simulate
 
 
@@ -59,6 +66,45 @@ def test_closed_loop_rejects_nonsquare_and_bad_weighting():
 
 
 # ---------------------------------------------------------------- stability
+
+
+def test_overflowing_characteristic_matrix_raises():
+    # T_1 = -lambda (1 + a) overflows at 1.7e308, and no RuntimeWarning comes first
+    pjm = scalar_pjm(b=1.0, a=0.5)
+    with pytest.raises(NonFiniteLoopError, match="overflows"):
+        closed_loop_matrix(pjm, Weighting(np.array([1.7e308])))
+    assert np.isfinite(closed_loop_matrix(pjm, Weighting(np.array([1.0e308])))).all()
+
+
+def per_block_matrix(pjm, w):
+    """T assembled one block at a time: the two loops the stacked build replaced."""
+    n = pjm.My
+    T = np.zeros((max(pjm.Ly + 2, pjm.Lu), n, n))
+    for k, Yk in enumerate([np.eye(n)] + [-b for b in pjm.output_blocks]):
+        LY = w.entries[:, None] * Yk
+        T[k] += LY
+        T[k + 1] -= LY
+    lead_t = pjm.lead_input_block.T
+    for j, b in enumerate(pjm.input_blocks):
+        T[j] += b @ lead_t
+    nonzero = np.flatnonzero(T.any(axis=(1, 2)))
+    return T[: nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def test_stacked_build_matches_per_block_assembly_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for My in (1, 2, 3):
+        for Ly in (0, 1, 2):
+            for Lu in (1, 2, 3):
+                for i in range(200):
+                    in_blocks = rng.normal(0.0, 1.0, (Lu, My, My))
+                    if i % 5 == 0:
+                        in_blocks[-1] = 0.0  # a zero trailing block, trimmed when it ends T
+                    pjm = PseudoJacobian(tuple(rng.normal(0.0, 0.5, (Ly, My, My))), tuple(in_blocks))
+                    w = Weighting(rng.uniform(0.0, 1.0, My) if i % 2 else np.zeros(My))
+                    T, expected = closed_loop_matrix(pjm, w), per_block_matrix(pjm, w)
+                    assert T.shape == expected.shape, (My, Ly, Lu, i)
+                    assert T.tobytes() == expected.tobytes(), (My, Ly, Lu, i)
 
 
 def test_stability_deadbeat_no_roots():
@@ -238,8 +284,9 @@ def test_ramp_error_scales_with_sample_time():
 
 
 def test_ramp_error_rejects_bad_sample_time():
-    with pytest.raises(ValueError):
-        ramp_static_error(scalar_pjm(b=1.0), Weighting(np.array([0.2])), Ts=0.0)
+    for Ts in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sample time must be positive"):
+            ramp_static_error(scalar_pjm(b=1.0), Weighting(np.array([0.2])), Ts=Ts)
 
 
 def test_static_errors_refuse_unstable_loop():
@@ -280,7 +327,8 @@ def test_step_error_zero_2x2_with_simulation_oracle():
 
 @pytest.fixture
 def pole_solves(monkeypatch):
-    """Empty analysis cache; the list collects the T of every _poles call."""
+    """Empty matrix and analysis caches; the list collects the T of every _poles call."""
+    analysis._built.cache_clear()
     analysis._analysed.cache_clear()
     seen = []
     poles = analysis._poles
@@ -291,6 +339,7 @@ def pole_solves(monkeypatch):
 
     monkeypatch.setattr(analysis, "_poles", counted)
     yield seen
+    analysis._built.cache_clear()
     analysis._analysed.cache_clear()
 
 
@@ -374,3 +423,54 @@ def test_analysis_cache_bound_is_the_module_constant(pole_solves):
     assert len(pole_solves) == analysis.ANALYSIS_CACHE_SIZE + 1
     stability_check(loops[0])  # the least recently used one was dropped
     assert len(pole_solves) == analysis.ANALYSIS_CACHE_SIZE + 2
+
+
+def test_returned_matrix_is_a_writable_copy(pole_solves):
+    pjm = scalar_pjm(b=1.0, a=0.5)
+    w = Weighting(np.array([0.2]))
+    T = closed_loop_matrix(pjm, w)
+    expected, ramp = T.copy(), ramp_static_error(pjm, w, Ts=1.0)
+    assert T.flags.writeable
+    T[:] = 7.0
+    assert closed_loop_matrix(pjm, w).tobytes() == expected.tobytes()
+    assert ramp_static_error(pjm, w, Ts=1.0).tobytes() == ramp.tobytes()
+    assert stability_check(expected).stable
+
+
+def test_static_errors_after_the_verdict_build_no_matrix_and_solve_no_poles(pole_solves, monkeypatch):
+    builds = []
+    build = analysis._built.__wrapped__
+
+    def counted(*key):
+        builds.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(analysis, "_built", functools.lru_cache(analysis.ANALYSIS_CACHE_SIZE)(counted))
+    pjm = PseudoJacobian((np.array([[0.3, 0.1], [0.0, 0.2]]),), (np.eye(2), 0.5 * np.eye(2)))
+    w = Weighting(np.array([0.1, 0.4]))
+    assert stability_check(closed_loop_matrix(pjm, w)).stable
+    assert (len(builds), len(pole_solves)) == (1, 1)
+    ramp_static_error(pjm, w, Ts=1.0)
+    step_static_error(pjm, w)
+    assert (len(builds), len(pole_solves)) == (1, 1)
+
+
+def test_matrix_cache_is_keyed_on_loop_content(pole_solves):
+    out_blocks, in_blocks = (np.array([[0.3, 0.1], [0.0, 0.2]]),), (np.eye(2), 0.5 * np.eye(2))
+    w = Weighting(np.array([0.1, 0.4]))
+    closed_loop_matrix(PseudoJacobian(out_blocks, in_blocks), w)
+    copies = PseudoJacobian(tuple(np.asfortranarray(b) for b in out_blocks), tuple(b.copy() for b in in_blocks))
+    closed_loop_matrix(copies, Weighting(w.entries.copy()))
+    assert analysis._built.cache_info()[:2] == (1, 1)  # hits, misses
+    nudged = Weighting(np.array([0.1, np.nextafter(0.4, 1.0)]))
+    closed_loop_matrix(copies, nudged)
+    assert analysis._built.cache_info()[:2] == (1, 2)
+
+
+def test_matrix_cache_bound_is_the_module_constant(pole_solves):
+    assert analysis._built.cache_info().currsize == 0
+    assert analysis._built.cache_info().maxsize == analysis.ANALYSIS_CACHE_SIZE
+    w = Weighting(np.array([0.2]))
+    for i in range(analysis.ANALYSIS_CACHE_SIZE + 5):
+        closed_loop_matrix(scalar_pjm(b=1.0 + i), w)
+    assert analysis._built.cache_info().currsize == analysis.ANALYSIS_CACHE_SIZE

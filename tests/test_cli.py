@@ -347,6 +347,16 @@ def test_single_point_grid_at_huge_lambda_draws_its_chart(tmp_path, verb):
     assert points and all(math.isfinite(float(p.get("cx"))) for p in points)
 
 
+@pytest.mark.parametrize("verb", ["sweep", "stability"])
+def test_lambda_that_overflows_the_characteristic_matrix_exits_3(tmp_path, capsys, verb):
+    # T_1 = -lambda (1 + a) overflows at 1.7e308 while 1e308 still runs
+    out = tmp_path / "run"
+    assert main([verb, "--lambda", "1.7e308", "--out", str(out)]) == 3
+    assert "config error: lambda 1.7e+308 " in capsys.readouterr().err
+    assert not out.exists()
+    assert main([verb, "--lambda", "1e308", "--out", str(out)]) == 0
+
+
 # ----------------------------------------------------------- reproducibility
 
 
