@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .controller import Weighting
 from .edlm import PseudoJacobian
 from .errors import DegenerateLoopError, NonFiniteLoopError, ShapeError, SingularMatrixError, UnstableLoopError
@@ -94,7 +95,7 @@ def _built(n: int, Ly: int, weights: bytes, blocks: bytes) -> np.ndarray:
 
 def _cond(M: np.ndarray) -> float:
     """Condition number of M from its singular values; 0/0 and NaN read as inf."""
-    s = np.linalg.svd(M, compute_uv=False).tolist()
+    s = _lapack.svd_values(M).tolist()
     return s[0] / s[-1] if s[-1] > 0.0 else math.inf
 
 
@@ -116,8 +117,8 @@ def _poles(T: np.ndarray) -> np.ndarray:
     A = np.eye(d * n, k=-n)
     A[:n] = -np.concatenate(T[1:], axis=1)
     if not singular:
-        A[:n] = np.linalg.solve(T[0], A[:n])
-        return np.linalg.eigvals(A)
+        A[:n] = _lapack.solve(T[0], A[:n])
+        return _lapack.eigvals(A)
     B = np.eye(d * n)
     B[:n, :n] = T[0]
     conds = [_cond(A - s * B) for s in PENCIL_SHIFTS]
@@ -125,7 +126,7 @@ def _poles(T: np.ndarray) -> np.ndarray:
     if not conds[best] < SINGULAR_COND:
         raise DegenerateLoopError("closed-loop determinant vanishes identically")
     sigma = PENCIL_SHIFTS[best]
-    mu = np.linalg.eigvals(np.linalg.solve(A - sigma * B, B))
+    mu = _lapack.eigvals(_lapack.solve(A - sigma * B, B))
     finite = mu[np.abs(mu) > INFINITE_POLE_TOL * np.max(np.abs(mu))]
     return sigma + 1.0 / finite
 
@@ -172,9 +173,12 @@ def stability_check(T: np.ndarray) -> StabilityReport:
     has a Jordan chain, the pencil solve can report spurious huge poles
     (about 1e7 on a rotated copy of a loop whose true poles are {0, 1}), so
     such a T may read unstable.  T from closed_loop_matrix can meet this only
-    with at least two zero weighting entries.
+    with at least two zero weighting entries.  Raises ShapeError unless T
+    has shape (d+1, n, n) with d >= 0 and n >= 1.
     """
     T = np.ascontiguousarray(T, dtype=float)
+    if T.ndim != 3 or T.shape[1] != T.shape[2] or 0 in T.shape:
+        raise ShapeError(f"characteristic blocks must have shape (d+1, n, n), got {T.shape}")
     return _analysed(T.shape, T.tobytes())[0]
 
 
@@ -199,7 +203,7 @@ def ramp_static_error(pjm: PseudoJacobian, w: Weighting, Ts: float) -> np.ndarra
         raise ValueError(f"sample time must be positive, got {Ts}")
     T1, phi_y1 = _static_matrices(pjm, w)
     rhs = w.matrix @ ((np.eye(pjm.My) - phi_y1) @ np.ones(pjm.My))
-    return np.linalg.solve(T1, rhs) * Ts
+    return _lapack.solve(T1, rhs) * Ts
 
 
 def step_static_error(pjm: PseudoJacobian, w: Weighting) -> np.ndarray:

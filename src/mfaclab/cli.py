@@ -495,7 +495,7 @@ def run_example2(cfg: ExperimentConfig) -> tuple[int, list[Table | Chart]]:
         rows.append(
             [t, *actual.as_array(), *target.as_array(),
              result.position_error, result.orientation_error,
-             *q, *jac.flatten(),
+             *q.tolist(), *jac.ravel().tolist(),
              result.max_condition, lam_used, result.iterations, int(result.converged)]
         )
 

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _lapack
 from .edlm import (
     DifferentiableModel,
     PseudoJacobian,
@@ -31,6 +32,7 @@ QUARTIC_TOL = 1.0e-9
 QUARTIC_MAX_PASSES = 50
 SWEEP_TOL = 1.0e-10
 SWEEP_MAX = 500
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -155,28 +157,50 @@ def _takes_min_norm(phi_u: np.ndarray, entries: np.ndarray):
     return phi_u.shape[-1] > phi_u.shape[-2] and ~entries.any(axis=-1)
 
 
+def _require_spanning(phi_u: np.ndarray) -> None:
+    """Raise RankDeficiencyError unless the lead block has rank My (stacked: every row's block).
+
+    The rank is numpy.linalg.matrix_rank's: the number of singular values
+    above the largest times max(My, Mu) times the float64 epsilon, compared
+    here on Python floats, which round as float64 does.  Of a stack the
+    first row short of rank My raises.
+    """
+    outputs = phi_u.shape[-2]
+    scale = max(phi_u.shape[-2:]) * _EPS
+    for s in _lapack.svd_values(phi_u).reshape(-1, min(phi_u.shape[-2:])).tolist():
+        tol = s[0] * scale  # singular values come largest first
+        rank = sum(v > tol for v in s)
+        if rank < outputs:
+            raise RankDeficiencyError(
+                f"lead block rank {rank} cannot reach all {outputs} outputs with zero weighting", rank=rank
+            )
+
+
 def _min_norm_increment(phi_u: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Minimum-norm du with phi_u du = residual; fewer independent rows than outputs is an error."""
-    rank = int(np.linalg.matrix_rank(phi_u))
-    if rank < phi_u.shape[0]:
-        raise RankDeficiencyError(
-            f"lead block rank {rank} cannot reach all {phi_u.shape[0]} outputs with zero weighting",
-            rank=rank,
-        )
+    _require_spanning(phi_u)
     return np.linalg.lstsq(phi_u, residual, rcond=None)[0]
 
 
 def _lead_solve(phi_u: np.ndarray, residual: np.ndarray, entries: np.ndarray, penalty: np.ndarray) -> np.ndarray:
-    """The increment that minimizes _cost(phi_u, entries, residual, du); penalty is diag(entries)."""
+    """The increment that minimizes _cost(phi_u, entries, residual, du); penalty is diag(entries).
+
+    Under zero weighting a square lead block is rank tested first, so
+    rounding in the factorisation does not decide whether a rank-deficient
+    block raises.
+    """
     if _takes_min_norm(phi_u, entries):
         return _min_norm_increment(phi_u, residual)
+    zero = not entries.any()
+    if zero and phi_u.shape[0] == phi_u.shape[1]:
+        _require_spanning(phi_u)
     A = phi_u.T @ phi_u + penalty
     b = phi_u.T @ residual
     try:
-        np.linalg.cholesky(A)
-        return np.linalg.solve(A, b)
+        _lapack.cholesky(A)
+        return _lapack.solve(A, b)
     except np.linalg.LinAlgError:
-        if np.all(entries == 0.0):
+        if zero:
             return _min_norm_increment(phi_u, residual)
         return np.linalg.lstsq(A, b, rcond=None)[0]
 
@@ -219,7 +243,9 @@ def mfac_step(
     and the lead block is rank deficient in its columns but still spans the
     outputs: always when it has more inputs than outputs, otherwise when the
     normal equations fail to factor.  Fewer independent rows than outputs is
-    an error.
+    an error (RankDeficiencyError); under zero weighting a square or wide
+    lead block is rank tested for it with numpy.linalg.matrix_rank's
+    tolerance before any solve.
     """
     y_now, y_ref = _check_controller_args((pjm.My, pjm.Mu, pjm.Ly, pjm.Lu), window, y_now, y_ref, w)
     return _solve_step(

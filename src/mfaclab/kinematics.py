@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidRotationError, ShapeError
 
 POSITION_TOL = 1.0e-3  # mm
@@ -318,13 +320,15 @@ def pose_and_jacobian(chain: KinematicChain, q: Sequence[float]) -> tuple[Pose, 
     return Pose.from_homogeneous(frames[-1]), _jacobian(chain, frames)
 
 
+def _condition(m: np.ndarray) -> float:
+    """Ratio of the extreme singular values of a float64 matrix; inf when the smallest is below 1e-300."""
+    s = _lapack.svd_values(m).tolist()
+    return s[0] / s[-1] if s and s[-1] >= 1.0e-300 else math.inf
+
+
 def condition_number(m: np.ndarray) -> float:
     """Ratio of extreme singular values; infinite for rank-deficient input."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[-1] < 1.0e-300:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return _condition(np.atleast_2d(np.asarray(m, dtype=float)))
 
 
 def _damping(cond: float) -> float:
@@ -340,11 +344,19 @@ def _damping(cond: float) -> float:
     return 0.0
 
 
+@lru_cache(maxsize=None)
+def _damping_matrix(lam: float, n: int) -> np.ndarray:
+    """lam * I of order n, read-only; one per damping value and joint count."""
+    m = lam * np.eye(n)
+    m.setflags(write=False)
+    return m
+
+
 def _damped_step(J: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Damped least-squares increment, the condition number and the damping used."""
-    cond = condition_number(J)
+    cond = _condition(J)
     lam = _damping(cond)
-    delta_q = np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]), J.T @ e)
+    delta_q = _lapack.solve(J.T @ J + _damping_matrix(lam, J.shape[1]), J.T @ e)
     if not all(map(math.isfinite, delta_q.tolist())):
         raise ArithmeticError("inverse-kinematics solve produced non-finite increments")
     return delta_q, cond, lam

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from . import _lapack
 from .controller import (
     BoxConstraints,
     ControlDecision,
@@ -16,6 +17,7 @@ from .controller import (
     _box_step,
     _check_box,
     _quartic_step,
+    _require_spanning,
     _solve_step,
     _takes_min_norm,
 )
@@ -430,8 +432,8 @@ def _stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_fails(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether the Cholesky check or the solve of _solve_step raises on this row."""
     try:
-        np.linalg.cholesky(a)
-        np.linalg.solve(a, b)
+        _lapack.cholesky(a)
+        _lapack.solve(a, b)
     except np.linalg.LinAlgError:
         return True
     return False
@@ -446,13 +448,16 @@ def _stacked_solve_step(
     y_ref: np.ndarray,
     entries: np.ndarray,
     penalty: np.ndarray,
+    rank_tested: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_solve_step on a stack of rows: (delta_u, cost), each row with the bits of its own call.
 
-    Every operand but the shared y_ref has a leading row axis.  Rows that
-    take the minimum-norm increment by shape, and rows whose Cholesky check
-    or solve fails, go through _solve_step itself, one by one, so its
-    fallback has one implementation.
+    Every operand but the shared y_ref has a leading row axis.  The lead
+    blocks of the rows in the mask rank_tested (None: no row) are rank tested
+    in one stacked call, as _solve_step tests a square block under zero
+    weighting.  Rows that take the minimum-norm increment by shape, and rows
+    whose Cholesky check or solve fails, go through _solve_step itself, one
+    by one, so its fallback has one implementation.
     """
     phi_u = input_blocks[0]
     r = y_ref - y_now
@@ -460,6 +465,8 @@ def _stacked_solve_step(
         r = r - _stacked_mv(block, ys[i] - ys[i + 1])
     for j in range(1, len(input_blocks)):
         r = r - _stacked_mv(input_blocks[j], us[j - 1] - us[j])
+    if rank_tested is not None:
+        _require_spanning(phi_u[rank_tested])
     phi_t = phi_u.transpose(0, 2, 1)
     A = np.matmul(phi_t, phi_u) + penalty
     b = _stacked_mv(phi_t, r)
@@ -467,12 +474,12 @@ def _stacked_solve_step(
     if fallback:
         A[fallback] = np.eye(A.shape[1])  # placeholders, so that the stacked solve covers the other rows
     try:
-        np.linalg.cholesky(A)
-        delta_u = np.linalg.solve(A, b[..., None])[..., 0]
+        _lapack.cholesky(A)
+        delta_u = _lapack.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         fallback += [i for i in range(A.shape[0]) if _solve_fails(A[i], b[i])]  # placeholder rows solve
         A[fallback] = np.eye(A.shape[1])
-        delta_u = np.linalg.solve(A, b[..., None])[..., 0]
+        delta_u = _lapack.solve(A, b[..., None])[..., 0]
     miss = r - _stacked_mv(phi_u, delta_u)
     cost = _stacked_dot(miss, miss) + _stacked_dot(delta_u, entries * delta_u)
     for i in fallback:
@@ -518,6 +525,9 @@ def simulate_batch(
     Ly, Lu = dims.Ly, dims.Lu
     entries = np.array([w.entries for w in weightings])
     penalty = np.array([w.matrix for w in weightings])
+    # Zero-weight rows on a square lead block, which _solve_step rank tests at every step.
+    zero = ~entries.any(axis=1) & (dims.Mu == dims.My)
+    rank_tested = zero if zero.any() else None
 
     # Row i's record k sits at [i, k - 1]; entries past a diverged row's records are not records.
     y_ref = np.full((steps, dims.My), np.nan)  # shared by every row
@@ -549,7 +559,8 @@ def simulate_batch(
                 break
             y_hist = [v[stay] for v in y_hist]
             u_hist = [v[stay] for v in u_hist]
-            entries, penalty = entries[stay], penalty[stay]
+            entries, penalty, zero = entries[stay], penalty[stay], zero[stay]
+            rank_tested = zero if zero.any() else None
             y_now = y_hist[0]
         at = (rows, k - 1)
         y_log[at] = y_now
@@ -566,7 +577,8 @@ def simulate_batch(
         blocks = _stacked_first_order_blocks(plant, y_hist[1:1 + Ly] + u_hist[:Lu])
         out_blocks, in_blocks = blocks[:Ly], blocks[Ly:]
         _check_finite(out_blocks, in_blocks)
-        delta_u, cost = _stacked_solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty)
+        delta_u, cost = _stacked_solve_step(out_blocks, in_blocks, y_hist, u_hist, y_now, target, entries, penalty,
+                                            rank_tested)
         u = u_hist[0] + delta_u
         u_log[at] = u
         du_log[at] = delta_u

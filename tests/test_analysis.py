@@ -211,6 +211,12 @@ def test_rank_deficient_lead_block():
     assert_singular_at(T, report.characteristic_roots)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (0, 2, 2), (2, 0, 0), (1, 1, 1, 1)])
+def test_stability_check_rejects_blocks_of_the_wrong_shape(shape):
+    with pytest.raises(ShapeError):
+        stability_check(np.ones(shape))
+
+
 def test_singular_lead_coefficient_lists_finite_poles():
     # T_0 = diag(1.4, 0) is singular; det T = 0.012 q^2 (1 - q), whose
     # finite poles are 0 and 1.  The two poles at infinity are not listed.

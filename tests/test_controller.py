@@ -8,6 +8,7 @@ from mfaclab.controller import (
     SWEEP_MAX,
     BoxConstraints,
     Weighting,
+    _require_spanning,
     mfac_constrained_step,
     mfac_quartic_step,
     mfac_step,
@@ -128,6 +129,25 @@ def test_step_rank_deficiency_raises_with_rank():
     with pytest.raises(RankDeficiencyError) as err:
         mfac_step(pjm, win, np.zeros(2), np.ones(2), Weighting(np.zeros(2)))
     assert err.value.rank == 1
+
+
+def test_rank_test_counts_as_matrix_rank():
+    # Full-rank, rank-one (rounded outer products) and exactly singular blocks, alone and stacked.
+    rng = np.random.default_rng(3)
+    for shape in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (2, 1)]:
+        blocks = [rng.normal(size=shape) for _ in range(200)]
+        blocks += [np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1])) for _ in range(200)]
+        blocks += [np.zeros(shape), np.ones(shape)]
+        for phi in blocks:
+            rank = int(np.linalg.matrix_rank(phi))
+            if rank == shape[0]:
+                _require_spanning(phi)
+                continue
+            # a stack raises for its first short row; eye spans unless the block is tall
+            for operand in (phi, np.stack([np.eye(*shape), phi])) if shape[0] <= shape[1] else (phi,):
+                with pytest.raises(RankDeficiencyError) as err:
+                    _require_spanning(operand)
+                assert err.value.rank == rank
 
 
 def test_step_minimum_norm_fallback_for_wide_block():

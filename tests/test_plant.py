@@ -1090,6 +1090,23 @@ def test_batch_zero_weighting_on_rank_deficient_lead_raises():
         simulate_batch(plant, StepReference(2, 0.5), 10, zero_window(plant.dims), weightings)
 
 
+def test_zero_weighting_on_rank_one_square_lead_always_raises():
+    # Outer products of two N(0, 1) vectors: Phi^T Phi is singular up to
+    # rounding, which let the Cholesky check and the solve pass on about a
+    # quarter of them; the rank test on the block decides every one.
+    rng = np.random.default_rng(1)
+    dims = Dimensions(My=2, Mu=2, Ly=0, Lu=1)
+    init = RegressorWindow(dims, k=1, y_history=[np.zeros(2)], u_history=[np.zeros(2)])
+    weightings = [Weighting.uniform(0.1, 2), Weighting(np.zeros(2))]
+    for _ in range(2000):
+        phi = np.outer(rng.normal(size=2), rng.normal(size=2))
+        with pytest.raises(RankDeficiencyError) as err:
+            mfac_step(PseudoJacobian((), (phi,)), init, np.zeros(2), np.ones(2), weightings[1])
+        assert err.value.rank == 1
+        with pytest.raises(RankDeficiencyError):
+            simulate_batch(LTIPlant([], [phi]), StepReference(2, 1.0), 3, init, weightings)
+
+
 def test_batch_rejects_bad_setup_before_stepping():
     plant = LTIPlant([0.5 * np.eye(2)], [np.eye(2)])
     init = zero_window(plant.dims)
